@@ -25,8 +25,8 @@ EXIT_OK = 0
 EXIT_COMPARISON_FAILED = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+def _add_common(parser: argparse.ArgumentParser, seed_default: int | None = 0) -> None:
+    parser.add_argument("--seed", type=int, default=seed_default, help="base RNG seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument(
         "--counts-scale",
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("scenario", type=Path)
-    _add_common(p_run)
+    # None keeps the scenario's own seed; any given value, 0 included, wins.
+    _add_common(p_run, seed_default=None)
 
     p_table = sub.add_parser("table1", help="run the benchmark suite")
     _add_common(p_table)
@@ -81,7 +82,7 @@ def _print_result(result: harness.RunResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = harness.load_scenario(args.scenario)
-    if args.seed:
+    if args.seed is not None:
         scenario = harness.scenario_from_dict(
             harness.scenario_to_dict(scenario) | {"seed": args.seed}
         )

@@ -20,6 +20,7 @@ evaluation order.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,7 @@ __all__ = [
     "qwp_jones",
     "projector",
     "standard_16_settings",
+    "joint_projectors",
     "ANALYSIS_ANGLES",
     "expected_coincidence_rate",
     "simulate_dataset",
@@ -121,6 +123,35 @@ def standard_16_settings() -> tuple[AnalyzerSetting, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _projector_stack(settings: tuple[AnalyzerSetting, ...]) -> np.ndarray:
+    stack = np.array([s.joint_projector() for s in settings])
+    stack.flags.writeable = False
+    return stack
+
+
+def joint_projectors(
+    settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray],
+) -> np.ndarray:
+    """Stack of 4x4 joint projectors, one per setting.
+
+    For analyzer settings the stack is built once per settings tuple and
+    shared read-only; raw 4x4 arrays are stacked afresh on every call.
+    """
+    if all(isinstance(s, AnalyzerSetting) for s in settings):
+        return _projector_stack(tuple(settings))
+    stack = []
+    for s in settings:
+        if isinstance(s, AnalyzerSetting):
+            stack.append(s.joint_projector())
+        else:
+            arr = np.asarray(s, dtype=complex)
+            if arr.shape != (4, 4):
+                raise ValueError("joint projectors must be 4x4")
+            stack.append(arr)
+    return np.array(stack)
+
+
 @dataclass(frozen=True)
 class CountRecord:
     setting_index: int
@@ -199,8 +230,8 @@ def simulate_dataset(
     if settings is None:
         settings = standard_16_settings()
     records = []
-    for idx, setting in enumerate(settings):
-        rate = expected_coincidence_rate(rho, setting.joint_projector(), cfg)
+    for idx, proj in enumerate(joint_projectors(settings)):
+        rate = expected_coincidence_rate(rho, proj, cfg)
         rng = _setting_rng(cfg.rng_seed, idx)
         cc = int(rng.poisson((rate + cfg.accidental_rate) * integration_time))
         ac = int(rng.poisson(cfg.accidental_rate * integration_time))
@@ -220,8 +251,8 @@ def expected_dataset(
     if settings is None:
         settings = standard_16_settings()
     records = []
-    for idx, setting in enumerate(settings):
-        rate = expected_coincidence_rate(rho, setting.joint_projector(), cfg)
+    for idx, proj in enumerate(joint_projectors(settings)):
+        rate = expected_coincidence_rate(rho, proj, cfg)
         cc = round((rate + cfg.accidental_rate) * integration_time)
         ac = round(cfg.accidental_rate * integration_time)
         records.append(CountRecord(idx, cc, ac, integration_time))

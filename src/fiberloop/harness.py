@@ -26,9 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import buffer as buf
 from . import counting as cnt
@@ -210,12 +211,20 @@ def run_scenario(
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Run the full pipeline for one scenario; persist artifacts if asked."""
-    try:
+    with _scenario_context(scenario.name):
         return _run_scenario(scenario, counts_scale, out_dir)
+
+
+@contextmanager
+def _scenario_context(name: str) -> Iterator[None]:
+    """Re-raise module failures (a fit that did not converge, say) as
+    ScenarioError naming the scenario."""
+    try:
+        yield
     except (ValueError, ArithmeticError) as err:
         if isinstance(err, ScenarioError):
             raise
-        raise ScenarioError(f"scenario {scenario.name!r}: {err}") from err
+        raise ScenarioError(f"scenario {name!r}: {err}") from err
 
 
 def _run_scenario(
@@ -486,11 +495,12 @@ def run_divider_suite(
             seed=seed * 1000 + i,
             exact_counts=exact_counts,
         )
-        channel = buf.channel_for_timeline(timeline, path_loop, noise)
-        state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
-        metrics, records, settings, rho, chi = _metrics_for_state(
-            state, survival, scenario, counts_scale
-        )
+        with _scenario_context(name):
+            channel = buf.channel_for_timeline(timeline, path_loop, noise)
+            state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
+            metrics, records, settings, rho, chi = _metrics_for_state(
+                state, survival, scenario, counts_scale
+            )
         result = RunResult(
             scenario_name=name,
             buffer_time=timeline.total_buffer_time,

@@ -1,18 +1,29 @@
 """Maximum-likelihood state reconstruction and process-matrix extraction.
 
-The density matrix is parameterized as rho = T^dag T / Tr(T^dag T) with T
-lower triangular (4 real diagonal + 6 complex off-diagonal entries, 16 real
-parameters), which is Hermitian, unit-trace, and positive semidefinite by
-construction.  The fit maximizes the Poisson likelihood of the net counts
-(coincidences minus accidentals, floored at zero); the unknown overall flux
-is profiled out analytically, reducing the objective to the multinomial form
+The fit maximizes the Poisson likelihood of the net counts n_j (coincidences
+minus accidentals, floored at zero) measured with joint projectors P_j.  The
+unknown overall flux is profiled out analytically, which leaves the
+multinomial form
 
-    -log L(rho) = N log(sum_j mu_j) - sum_j n_j log(mu_j),   mu_j = Tr(P_j G)
+    -log L(rho) = N log(sum_j mu_j) - sum_j n_j log(mu_j),   mu_j = Tr(P_j rho).
 
-with G = T^dag T, which is invariant under rescaling of T.  The optimizer is
-L-BFGS-B with an analytic gradient, restarted from an identity-proportional
-point plus a fixed set of random initializations; the best likelihood wins,
-ties broken by the lowest restart index.
+With S = sum_j P_j, the transformed state sigma = S^1/2 rho S^1/2 / Tr(S rho)
+has p_j = Tr(E_j sigma) = mu_j / sum_k mu_k for the POVM E_j = S^-1/2 P_j
+S^-1/2, so the objective -sum_j n_j log Tr(E_j sigma) is convex over
+unit-trace positive semidefinite sigma, which has 15 real degrees of freedom.
+
+The solve is a primal interior-point method: damped Newton steps on
+-log L / mu - log det sigma, started from linear inversion mixed toward I/4
+until strictly positive, with the barrier weight mu = 1 divided by 10 after
+each inner solve.  Each step is a traceless Hermitian matrix found in the
+eigenbasis of sigma, where the barrier's Hessian is diagonal.  The solve
+stops when the first-order certificate
+
+    lambda_max(sum_j n_j E_j / p_j) - N  >=  log L_max - log L(sigma)
+
+drops to ``MleConfig.convergence_tol`` nats (Glancy, Knill & Girard, NJP 14,
+095017 (2012)), and raises ``MleConvergenceError`` if it does not within
+``MleConfig.max_iterations`` Newton steps.  The result is deterministic.
 
 The process matrix of the buffered idler comes from the same data: the
 reconstructed joint state, read relative to the prepared pair state
@@ -23,13 +34,14 @@ the (I, s1, s2, s3) operator basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
+from . import counting as cnt
 from .counting import AnalyzerSetting, CountRecord
 from .qstate import (
     ChiMatrix,
@@ -46,6 +58,7 @@ __all__ = [
     "MleConfig",
     "InsufficientDataError",
     "IncompleteSettingsError",
+    "MleConvergenceError",
     "MetricsRecord",
     "reconstruct_state",
     "reconstruct_chi",
@@ -61,75 +74,61 @@ class IncompleteSettingsError(ValueError):
     """Settings are not tomographically complete (singular design matrix)."""
 
 
+class MleConvergenceError(ValueError):
+    """The fit did not reach its optimality certificate within the step budget."""
+
+
 @dataclass(frozen=True)
 class MleConfig:
-    max_iterations: int = 5000
-    convergence_tol: float = 1e-10
-    n_restarts: int = 8
-    restart_seed: int = 7041776
+    """Newton-step budget and certified likelihood gap (nats) of the fit."""
+
+    max_iterations: int = 500
+    convergence_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
         if not self.convergence_tol > 0:
             raise ValueError("convergence tolerance must be positive")
-        if self.n_restarts < 0:
-            raise ValueError("restart count must be nonnegative")
 
 
-_LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+# Largest acceptable condition number of the linear design matrix.
+_MAX_DESIGN_CONDITION = 1e6
+# Smallest eigenvalue of the warm start, as a fraction of the mixed state's.
+_START_MARGIN = 1e-3
+# Newton decrement below which a step is taken in full, the inner solve is
+# done and mu is lowered (the quadratic region of a self-concordant barrier).
+_CENTERED = 0.25
+
+# Orthonormal basis Q_k of the Hermitian 4x4 matrices, Tr(Q_k Q_l) = delta_kl:
+# E_aa, then (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2) for a < b.
+# Q_k is diagonal for k < 4, so coordinate k of a diagonal matrix is entry k.
+_UPPER = np.triu_indices(4, 1)
+_Q_ROWS = np.concatenate([np.arange(4), _UPPER[0], _UPPER[0]])
+_Q_COLS = np.concatenate([np.arange(4), _UPPER[1], _UPPER[1]])
 
 
-def _t_to_matrix(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = t[:4]
-    for i, (r, c) in enumerate(_LOWER):
-        m[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
-    return m
+def _hermitian_basis() -> np.ndarray:
+    q = np.zeros((16, 4, 4), dtype=complex)
+    for k, (a, b) in enumerate(zip(_Q_ROWS, _Q_COLS)):
+        z = 1.0 if k < 4 else (1.0 if k < 10 else 1.0j) / math.sqrt(2.0)
+        q[k, a, b], q[k, b, a] = z, np.conj(z)
+    return q
 
 
-def _rho_from_t(t: np.ndarray) -> np.ndarray:
-    m = _t_to_matrix(t)
-    g = m.conj().T @ m
-    return g / np.trace(g).real
+_Q = _hermitian_basis()
+# Coordinates Tr(M Q_k) = (M.ravel() @ _TO_COORDS)[k] of a row-major matrix.
+_TO_COORDS = _Q.conj().reshape(16, 16).T.copy()
+# The row-major matrix sum_k d_k Q_k is _FROM_COORDS @ d.
+_FROM_COORDS = _Q.reshape(16, 16).T.copy()
+_TRACE_COORDS = np.repeat([1.0, 0.0], [4, 12])
+for _arr in (_Q, _TO_COORDS, _FROM_COORDS, _TRACE_COORDS):
+    _arr.flags.writeable = False
 
 
-def _nll_and_grad(
-    t: np.ndarray, projectors: np.ndarray, counts: np.ndarray
-) -> tuple[float, np.ndarray]:
-    m = _t_to_matrix(t)
-    g = m.conj().T @ m
-    mu = np.einsum("kij,ji->k", projectors, g).real
-    mu = np.maximum(mu, 1e-300)
-    total = mu.sum()
-    n = counts.sum()
-    nll = n * math.log(total) - float(counts @ np.log(mu))
-    # d(nll)/d(mu_k), then chain through mu_k = Tr(P_k T^dag T):
-    # the Wirtinger gradient of mu_k w.r.t. conj(T) is T P_k.
-    w = n / total - counts / mu
-    tp = np.einsum("ij,kjl->kil", m, projectors)
-    mw = np.tensordot(w, tp, axes=(0, 0))
-    grad = np.empty(16)
-    grad[:4] = 2.0 * np.real(np.diagonal(mw))
-    for i, (r, c) in enumerate(_LOWER):
-        grad[4 + 2 * i] = 2.0 * np.real(mw[r, c])
-        grad[5 + 2 * i] = 2.0 * np.imag(mw[r, c])
-    return nll, grad
-
-
-def _joint_projectors(
-    settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray],
-) -> np.ndarray:
-    stack = []
-    for s in settings:
-        if isinstance(s, AnalyzerSetting):
-            stack.append(s.joint_projector())
-        else:
-            arr = np.asarray(s, dtype=complex)
-            if arr.shape != (4, 4):
-                raise ValueError("joint projectors must be 4x4")
-            stack.append(arr)
-    return np.array(stack)
+def _inv_sqrt(s: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(s)
+    return (v / np.sqrt(w)) @ v.conj().T
 
 
 def _design_condition(projectors: np.ndarray) -> float:
@@ -140,53 +139,153 @@ def _design_condition(projectors: np.ndarray) -> float:
     return float(np.linalg.cond(m))
 
 
+@dataclass(frozen=True)
+class _Design:
+    """What the fit needs of a complete set of settings, counts aside."""
+
+    povm: np.ndarray        # E_j = S^-1/2 P_j S^-1/2
+    rows: np.ndarray        # conj(E_j) flattened: p = Re(rows @ sigma.ravel())
+    inversion: np.ndarray   # pseudo-inverse of rows (linear inversion)
+    s_inv_half: np.ndarray
+
+
+def _build_design(projectors: np.ndarray) -> _Design:
+    if _design_condition(projectors) > _MAX_DESIGN_CONDITION:
+        raise IncompleteSettingsError(
+            "settings are not tomographically complete (singular design matrix)"
+        )
+    s_inv_half = _inv_sqrt(projectors.sum(axis=0))
+    povm = np.einsum("ij,kjl,lm->kim", s_inv_half, projectors, s_inv_half)
+    rows = povm.conj().reshape(len(povm), 16)
+    design = _Design(
+        povm=povm,
+        rows=rows,
+        inversion=np.linalg.pinv(rows),
+        s_inv_half=s_inv_half,
+    )
+    for arr in vars(design).values():
+        arr.flags.writeable = False
+    return design
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_design(settings: tuple[AnalyzerSetting, ...]) -> _Design:
+    return _build_design(cnt.joint_projectors(settings))
+
+
+def _design(settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray]) -> _Design:
+    if all(isinstance(s, AnalyzerSetting) for s in settings):
+        return _cached_design(tuple(settings))
+    return _build_design(cnt.joint_projectors(settings))
+
+
+def _nll_and_grad(
+    sigma: np.ndarray, design: _Design, counts: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """-sum_j n_j log Tr(E_j sigma) and its gradient -sum_j n_j E_j / p_j.
+
+    The gradient G is the Hermitian matrix with d(nll) = Tr(G d(sigma)).
+    """
+    p = (design.rows @ sigma.ravel()).real
+    grad = -((counts / p) @ design.povm.reshape(-1, 16)).reshape(4, 4)
+    return -float(counts @ np.log(p)), grad
+
+
+def _warm_start(design: _Design, counts: np.ndarray) -> np.ndarray:
+    """Linear inversion, mixed toward I/4 until strictly positive."""
+    sigma = (design.inversion @ (counts / counts.sum())).reshape(4, 4)
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    sigma = sigma / np.trace(sigma).real
+    lowest = np.linalg.eigvalsh(sigma)[0]
+    floor = _START_MARGIN / 4.0
+    if lowest < floor:
+        w = (floor - lowest) / (0.25 - lowest)
+        sigma = (1.0 - w) * sigma + w * np.eye(4) / 4.0
+    return sigma
+
+
+def _newton_step(
+    sigma: np.ndarray, grad: np.ndarray, design: _Design, counts: np.ndarray, mu: float
+) -> tuple[np.ndarray, float]:
+    """Newton step of nll / mu - log det sigma over traceless directions.
+
+    The step is solved in the eigenbasis of sigma, where the barrier Hessian
+    is diagonal (1 / lambda_a lambda_b), and the system is scaled to a unit
+    diagonal first.  Near the boundary the Hessian spans many decades along
+    those eigen-directions; solving it in a fixed basis would lose the
+    smallest eigenvalues of sigma to rounding.  Returns the step and the
+    Newton decrement.
+    """
+    lam, v = np.linalg.eigh(sigma)
+    # Row-major M -> coordinates of V^dag M V, M seen in the eigenbasis.
+    to_eigen = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(16, 16) @ _TO_COORDS
+    ae = (design.povm.reshape(-1, 16) @ to_eigen).real
+    p = ae[:, :4] @ lam
+    g = (grad.reshape(16) @ to_eigen).real / mu
+    g[:4] -= 1.0 / lam
+    hess = (ae.T * (counts / (p * p * mu))) @ ae
+    hess += np.diag(1.0 / (lam[_Q_ROWS] * lam[_Q_COLS]))
+    scale = 1.0 / np.sqrt(np.diagonal(hess))
+    u = np.linalg.solve(
+        hess * np.outer(scale, scale), np.stack([g, _TRACE_COORDS], axis=1) * scale[:, None]
+    ) * scale[:, None]
+    # Subtract the multiple of the constraint solve that makes Tr(step) = 0.
+    d = (_TRACE_COORDS @ u[:, 0]) / (_TRACE_COORDS @ u[:, 1]) * u[:, 1] - u[:, 0]
+    step = v @ (_FROM_COORDS @ d).reshape(4, 4) @ v.conj().T
+    return step, math.sqrt(max(-float(g @ d), 0.0))
+
+
+def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
+    """Certified maximum-likelihood sigma."""
+    sigma = _warm_start(design, counts)
+    n_total = counts.sum()
+    mu = 1.0
+    for steps in range(cfg.max_iterations + 1):
+        _, grad = _nll_and_grad(sigma, design, counts)
+        if np.linalg.eigvalsh(-grad)[-1] - n_total <= cfg.convergence_tol:
+            return sigma
+        if steps == cfg.max_iterations:
+            break
+        step, decrement = _newton_step(sigma, grad, design, counts, mu)
+        centered = decrement < _CENTERED
+        # Full steps near the central path, damped ones elsewhere; the
+        # halving guards positivity against rounding near the boundary.
+        t = 1.0 if centered else 1.0 / (1.0 + decrement)
+        while np.linalg.eigh(sigma + t * step)[0][0] <= 0.0:
+            t /= 2.0
+        sigma = sigma + t * step
+        if centered:
+            mu /= 10.0
+    raise MleConvergenceError(
+        f"likelihood certificate above {cfg.convergence_tol:g} nats "
+        f"after {cfg.max_iterations} Newton steps"
+    )
+
+
 def reconstruct_state(
     records: Sequence[CountRecord],
     settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray],
     cfg: MleConfig = MleConfig(),
 ) -> TwoQubitState:
-    """Maximum-likelihood density matrix from net coincidence counts."""
+    """Maximum-likelihood density matrix from net coincidence counts.
+
+    The returned state is certified to lie within ``cfg.convergence_tol``
+    nats of the maximum likelihood.
+    """
     if len(records) != len(settings):
         raise ValueError("need one setting per count record")
     if len(records) < 16:
         raise IncompleteSettingsError(
             f"need at least 16 settings, got {len(records)}"
         )
-    projectors = _joint_projectors(settings)
-    if _design_condition(projectors) > 1e6:
-        raise IncompleteSettingsError(
-            "settings are not tomographically complete (singular design matrix)"
-        )
+    design = _design(settings)
     counts = np.array([float(r.net) for r in records])
     if counts.sum() <= 0:
         raise InsufficientDataError("all net counts are zero")
-
-    starts = [np.concatenate([np.full(4, 0.5), np.zeros(12)])]
-    for k in range(cfg.n_restarts):
-        ss = np.random.SeedSequence(entropy=[cfg.restart_seed, k])
-        rng = np.random.Generator(np.random.Philox(ss))
-        starts.append(rng.normal(scale=0.5, size=16))
-
-    best: tuple[float, int, np.ndarray] | None = None
-    for idx, t0 in enumerate(starts):
-        res = minimize(
-            _nll_and_grad,
-            t0,
-            args=(projectors, counts),
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": cfg.max_iterations,
-                "maxfun": 10 * cfg.max_iterations,
-                "ftol": cfg.convergence_tol,
-                "gtol": 1e-10,
-            },
-        )
-        candidate = (float(res.fun), idx, res.x)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    assert best is not None
-    return TwoQubitState(_rho_from_t(best[2]))
+    sigma = _solve(design, counts, cfg)
+    rho = design.s_inv_half @ sigma @ design.s_inv_half
+    rho = 0.5 * (rho + rho.conj().T)
+    return TwoQubitState(rho / np.trace(rho).real)
 
 
 def _choi_basis() -> np.ndarray:

@@ -277,7 +277,7 @@ def test_c9_invariant_suite():
             via_kraus = sum(k @ op @ k.conj().T for k in channel.kraus_ops)
             assert np.abs(via_chi - via_kraus).max() <= 1e-10
 
-    fast = MleConfig(n_restarts=2)
+    fast = MleConfig()
     for seed in range(5):
         cfg = CountingConfig(pair_rate=500.0, accidental_rate=5.0, rng_seed=seed)
         records = simulate_dataset(bell_state(), cfg, 2.0, SETTINGS)

@@ -14,6 +14,7 @@ from fiberloop.counting import (
     analysis_ket,
     expected_coincidence_rate,
     expected_dataset,
+    joint_projectors,
     projector,
     read_dataset_csv,
     simulate_dataset,
@@ -203,6 +204,35 @@ class TestSimulateDataset:
         assert recs[0].coincidences == round(500.0 * 2 + 20)
         assert recs[0].accidentals == 20
         assert recs[0].net == 1000
+
+
+class TestJointProjectors:
+    def test_cached_read_only_stack(self):
+        stack = joint_projectors(standard_16_settings())
+        assert joint_projectors(list(standard_16_settings())) is stack
+        assert not stack.flags.writeable
+        np.testing.assert_array_equal(
+            stack, [s.joint_projector() for s in standard_16_settings()]
+        )
+
+    def test_raw_arrays_stacked_afresh(self):
+        raw = [s.joint_projector() for s in standard_16_settings()]
+        stack = joint_projectors(raw)
+        assert stack is not joint_projectors(raw)
+        np.testing.assert_array_equal(stack, joint_projectors(standard_16_settings()))
+
+    def test_raw_shape_checked(self):
+        with pytest.raises(ValueError, match="4x4"):
+            joint_projectors([np.eye(2)] * 16)
+
+    def test_datasets_match_per_setting_rates(self):
+        # the shared stack must give the counts of the per-setting projectors
+        cfg = CountingConfig(pair_rate=3e4, accidental_rate=40.0, rng_seed=5)
+        rho = TwoQubitState(0.9 * bell_state().matrix + 0.1 * np.eye(4) / 4)
+        recs = expected_dataset(rho, cfg, 2.0)
+        for rec, s in zip(recs, standard_16_settings()):
+            rate = expected_coincidence_rate(rho, s.joint_projector(), cfg)
+            assert rec.coincidences == round((rate + 40.0) * 2.0)
 
 
 class TestCountRecord:

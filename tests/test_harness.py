@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiberloop
 from fiberloop import buffer as buf
 from fiberloop import cli
+from fiberloop import tomography as tomo
 from fiberloop.harness import (
     GHOST_SURVIVAL_FLOOR,
     PAPER_2023,
@@ -225,7 +233,8 @@ class TestCli:
         path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 0
-        assert "F 0.99" in capsys.readouterr().out
+        f = float(re.search(r"F (\S+),", capsys.readouterr().out).group(1))
+        assert 0.99 <= f <= 1.0
 
     def test_unexpected_leak_exit_code(self, tmp_path):
         scenario = quiet_scenario(name="leaky", loop=buf.FiberLoop(1850.0), n_trips=2)
@@ -263,3 +272,61 @@ class TestCli:
         base_out = capsys.readouterr().out
         assert cli.main(["run", str(path), "--seed", "77"]) == 0
         assert capsys.readouterr().out != base_out
+
+    def test_seed_zero_overrides_scenario(self, tmp_path):
+        scenario = quiet_scenario(exact_counts=False, pair_rate=5e4, seed=5)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        seed0 = tmp_path / "s0.json"
+        seed0.write_text(json.dumps(scenario_to_dict(replace(scenario, seed=0))))
+        for args, out in (([str(path), "--seed", "0"], "override"),
+                          ([str(seed0)], "seed0"), ([str(path)], "seed5")):
+            assert cli.main(["run", *args, "--out", str(tmp_path / out)]) == 0
+        override, seed0_csv, seed5_csv = (
+            next((tmp_path / out).rglob("dataset.csv")).read_bytes()
+            for out in ("override", "seed0", "seed5")
+        )
+        assert override == seed0_csv
+        assert override != seed5_csv
+
+    def test_unconverged_fit_exit_code(self, tmp_path, capsys, one_step_fit):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))
+        assert cli.main(["run", str(path)]) == 2
+        assert "certificate" in capsys.readouterr().err
+
+
+@pytest.fixture
+def one_step_fit(monkeypatch):
+    """A fit whose Newton-step budget is too small to reach its certificate."""
+    fit = tomo.reconstruct_state
+    monkeypatch.setattr(
+        tomo, "reconstruct_state",
+        lambda records, settings: fit(records, settings, tomo.MleConfig(max_iterations=1)),
+    )
+
+
+class TestFitFailure:
+    def test_run_scenario_names_scenario(self, one_step_fit):
+        with pytest.raises(ScenarioError, match="'test'.*certificate"):
+            run_scenario(quiet_scenario())
+
+    def test_divider_suite_names_scenario(self, one_step_fit):
+        with pytest.raises(ScenarioError, match="'divider-.*certificate"):
+            run_divider_suite(seed=2, exact_counts=True)
+
+
+def test_runs_without_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from fiberloop import harness\n"
+        "harness.run_scenario(harness.table1_scenarios()[0], out_dir=sys.argv[1])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(fiberloop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,14 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import trace_distance
+from conftest import random_state, trace_distance
 from fiberloop import qstate
 from fiberloop.counting import (
     CountingConfig,
     CountRecord,
     expected_dataset,
+    joint_projectors,
     simulate_dataset,
     standard_16_settings,
 )
@@ -24,6 +27,8 @@ from fiberloop.tomography import (
     IncompleteSettingsError,
     InsufficientDataError,
     MleConfig,
+    MleConvergenceError,
+    _design,
     _nll_and_grad,
     reconstruct_chi,
     reconstruct_state,
@@ -31,7 +36,7 @@ from fiberloop.tomography import (
 )
 
 SETTINGS = standard_16_settings()
-FAST = MleConfig(n_restarts=2)
+FAST = MleConfig()
 
 
 def exact_records(rho, flux=4e6, accidental=0.0, seed=0):
@@ -47,17 +52,16 @@ def poisson_records(rho, flux=4e6, accidental=0.0, seed=0):
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.Generator(np.random.Philox(42))
-        projs = np.array([s.joint_projector() for s in SETTINGS])
+        design = _design(SETTINGS)
         counts = rng.uniform(10, 1000, size=16)
-        t = rng.normal(size=16)
-        _, grad = _nll_and_grad(t, projs, counts)
+        sigma = random_state(7).matrix
+        _, grad = _nll_and_grad(sigma, design, counts)
         eps = 1e-6
-        for i in range(16):
-            dt = np.zeros(16)
-            dt[i] = eps
-            up, _ = _nll_and_grad(t + dt, projs, counts)
-            dn, _ = _nll_and_grad(t - dt, projs, counts)
-            assert grad[i] == pytest.approx((up - dn) / (2 * eps), rel=1e-4, abs=1e-6)
+        for direction in (np.kron(a, b) for a in qstate.PAULIS for b in qstate.PAULIS):
+            up, _ = _nll_and_grad(sigma + eps * direction, design, counts)
+            dn, _ = _nll_and_grad(sigma - eps * direction, design, counts)
+            expected = (up - dn) / (2 * eps)
+            assert np.trace(grad @ direction).real == pytest.approx(expected, rel=1e-4, abs=1e-6)
 
 
 class TestReconstructState:
@@ -136,6 +140,19 @@ class TestReconstructState:
         with pytest.raises(IncompleteSettingsError):
             reconstruct_state(recs, SETTINGS[:8])
 
+    def test_raw_projectors_give_the_same_fit(self):
+        recs = poisson_records(bell_state(), flux=1e5, seed=12)
+        raw = [s.joint_projector() for s in SETTINGS]
+        assert _design(SETTINGS) is _design(list(SETTINGS))
+        assert np.array_equal(
+            reconstruct_state(recs, raw).matrix, reconstruct_state(recs, SETTINGS).matrix
+        )
+
+    def test_unconverged_fit_raises(self):
+        recs = poisson_records(bell_state(), flux=1e5, seed=4)
+        with pytest.raises(MleConvergenceError, match="certificate"):
+            reconstruct_state(recs, SETTINGS, MleConfig(max_iterations=1))
+
     def test_reconstructs_from_csv_interchange(self, tmp_path):
         from fiberloop.counting import read_dataset_csv, write_dataset_csv
 
@@ -146,6 +163,56 @@ class TestReconstructState:
         direct = reconstruct_state(recs, SETTINGS, FAST)
         via_csv = reconstruct_state(recs2, settings2, FAST)
         assert np.array_equal(direct.matrix, via_csv.matrix)
+
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "mle_reference.json").read_text()
+)["datasets"]
+
+
+def flux_profiled_nll(counts, rho):
+    mu = np.einsum("kij,ji->k", joint_projectors(SETTINGS), rho).real
+    seen = counts > 0
+    return counts.sum() * math.log(mu.sum()) - float(counts[seen] @ np.log(mu[seen]))
+
+
+def likelihood_gap(counts, rho):
+    """Glancy-Knill-Girard bound on log L_max - log L(rho), in nats."""
+    projs = joint_projectors(SETTINGS)
+    mu = np.einsum("kij,ji->k", projs, rho).real
+    seen = counts > 0
+    r = np.tensordot(counts[seen] / mu[seen], projs[seen], axes=(0, 0))
+    w, v = np.linalg.eigh(projs.sum(axis=0))
+    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
+    return mu.sum() * np.linalg.eigvalsh(s_inv_half @ r @ s_inv_half)[-1] - counts.sum()
+
+
+class TestReferenceCorpus:
+    """Fixed datasets (table1 rows, long-storage points, low-count Bell pairs)
+    with the negative log-likelihood of the 9-start L-BFGS-B fit that the
+    certified solve replaced; see data/make_mle_reference.py."""
+
+    @pytest.mark.parametrize("entry", REFERENCE, ids=[e["label"] for e in REFERENCE])
+    def test_certified_and_no_worse(self, entry):
+        counts = np.array(entry["net_counts"], dtype=float)
+        recs = [CountRecord(i, int(n), 0, 1.0) for i, n in enumerate(counts)]
+        cfg = MleConfig()
+        rho = reconstruct_state(recs, SETTINGS, cfg)
+        assert isinstance(rho, TwoQubitState)
+        m = rho.matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-12
+        assert abs(np.trace(m).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(m).min() >= -1e-9
+        assert flux_profiled_nll(counts, m) <= entry["nll"] + 1e-3
+        assert likelihood_gap(counts, m) <= cfg.convergence_tol
+
+    def test_corpus_covers_the_regimes(self):
+        labels = [e["label"] for e in REFERENCE]
+        assert len(labels) >= 100
+        assert sum(label.startswith("table1-") for label in labels) == 70
+        assert sum(label.startswith("long-storage-") for label in labels) == 34
+        assert sum(label.startswith("bell-500pps-") for label in labels) == 5
+        assert any(0 in e["net_counts"] for e in REFERENCE)
 
 
 class TestReconstructChi:
