@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import qstate
 from .qstate import QubitChannel
@@ -83,6 +83,14 @@ class TimelineContractError(ValueError):
     """Event sequence violates the photon-timeline invariants."""
 
 
+def _require_finite(spec: object) -> None:
+    """Reject non-finite float fields: NaN passes every ordering check."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SwitchSpec:
     """2x2 switch parameters: per-pass losses and drive capabilities."""
@@ -94,6 +102,7 @@ class SwitchSpec:
     v_pi_calibrated: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.loss_cross_db < 0 or self.loss_straight_db < 0:
             raise ValueError("switch losses must be nonnegative")
         if not self.rise_fall_time > 0:
@@ -118,6 +127,7 @@ class FiberLoop:
     pmd_dephasing_per_km: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.length_m > 0:
             raise ValueError("loop length must be positive")
         if self.attenuation_db_per_km < 0:
@@ -202,6 +212,7 @@ class BufferTopology:
             object.__setattr__(
                 self, "leak_threshold_hz", DEFAULT_LEAK_THRESHOLD_HZ[self.variant]
             )
+        _require_finite(self)
         if not self.leak_threshold_hz > 0:
             raise ValueError("leak threshold must be positive")
         if not 0.0 < self.leak_fraction <= 1.0:
@@ -327,6 +338,7 @@ class NoiseConfig:
     accidental_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("cross_bit_flip", "cross_phase_flip", "cross_amplitude_damping"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -564,16 +576,11 @@ def channel_for_timeline(
     if pmd > 0 and km > 0:
         variance = pmd * pmd * km
         parts.append(qstate.phase_damping_channel(1.0 - math.exp(-variance)))
-    n_cross = 2 if timeline.round_trips >= 1 else 0
-    for _ in range(n_cross):
-        if noise.cross_bit_flip > 0:
-            parts.append(qstate.bit_flip_channel(noise.cross_bit_flip))
-        if noise.cross_phase_flip > 0:
-            parts.append(qstate.phase_flip_channel(noise.cross_phase_flip))
-        if noise.cross_amplitude_damping > 0:
-            parts.append(
-                qstate.amplitude_damping_channel(noise.cross_amplitude_damping)
-            )
-    if not parts:
-        return qstate.identity_channel()
-    return qstate.compose_channels(*parts)
+    cross = [make(p) for make, p in (
+        (qstate.bit_flip_channel, noise.cross_bit_flip),
+        (qstate.phase_flip_channel, noise.cross_phase_flip),
+        (qstate.amplitude_damping_channel, noise.cross_amplitude_damping),
+    ) if p > 0]
+    # one cross pass on injection, one on retrieval: the same channel objects
+    parts.extend(cross * 2 if timeline.round_trips >= 1 else ())
+    return qstate.compose_channels(*parts) if parts else qstate.identity_channel()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("scenario", type=Path)
     p_sweep.add_argument("--param", required=True, help="dotted path, e.g. noise.cross_phase_flip")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    _add_common(p_sweep)
+    _add_common(p_sweep, seed_default=None)  # as for run
     return parser
 
 
@@ -83,9 +84,7 @@ def _print_result(result: harness.RunResult) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = harness.load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = harness.scenario_from_dict(
-            harness.scenario_to_dict(scenario) | {"seed": args.seed}
-        )
+        scenario = replace(scenario, seed=args.seed)
     result = harness.run_scenario(
         scenario, counts_scale=args.counts_scale, out_dir=args.out
     )
@@ -133,6 +132,8 @@ def _parse_value(raw: str):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = harness.load_scenario(args.scenario)
+    if args.seed is not None:
+        base = replace(base, seed=args.seed)
     values = [_parse_value(v) for v in args.values.split(",")]
     results = harness.run_sweep(
         base, args.param, values, counts_scale=args.counts_scale, out_dir=args.out

@@ -9,6 +9,8 @@ sigma_y, sigma_z), so chi[0, 0] is the identity-process weight.  Channels
 acting on the idler are lists of 2x2 Kraus operators and may be trace
 non-increasing (pure loss); trace-decreasing channels carry their throughput
 as a separate survival probability wherever states are renormalized.
+Composed channels come back in canonical (Choi eigenvector) Kraus form with
+at most 4 operators, so applying one costs the same however many parts it has.
 """
 
 from __future__ import annotations
@@ -107,16 +109,19 @@ class QubitChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
+        ops = np.array(self.kraus_ops, dtype=complex)  # one stacked copy, frozen below
+        if len(ops) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.linalg.eigvalsh(total).max() > 1.0 + 1e-12:
+        if ops.shape[1:] != (2, 2):
+            raise ValueError(f"Kraus operators must be 2x2, got {ops.shape[1:]}")
+        if not np.isfinite(ops).all():
+            raise ValueError("kraus_ops must be finite")
+        # largest eigenvalue of the 2x2 Hermitian sum K^dag K, in closed form
+        (a, b), (_, d) = np.einsum("kji,kjl->il", ops.conj(), ops).tolist()
+        if (a.real + d.real) / 2 + math.hypot((a.real - d.real) / 2, abs(b)) > 1.0 + 1e-12:
             raise ValueError("channel is trace increasing: sum K^dag K > I")
-        object.__setattr__(self, "kraus_ops", tuple(_frozen(k) for k in ops))
+        ops.flags.writeable = False  # its per-operator views stay read-only too
+        object.__setattr__(self, "kraus_ops", tuple(ops))
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -197,10 +202,9 @@ def apply_idler_channel(
     Returns the renormalized output state and the survival probability
     Tr(rho') of the raw map (1.0 for trace-preserving channels).
     """
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.kraus_ops:
-        big = np.kron(_I2, k)
-        out += big @ state.matrix @ big.conj().T
+    k = np.array(channel.kraus_ops)
+    rho = state.matrix.reshape(2, 2, 2, 2)  # [signal, idler, signal', idler']
+    out = np.einsum("kai,sitj,kbj->satb", k, rho, k.conj()).reshape(4, 4)
     survival = float(np.trace(out).real)
     if survival <= 1e-300:
         raise DegenerateChannelError("channel annihilates the input state")
@@ -302,15 +306,23 @@ def loss_channel(survival: float) -> QubitChannel:
 
 
 def compose_channels(*channels: QubitChannel) -> QubitChannel:
-    """Compose channels applied left to right (first argument acts first)."""
+    """Compose channels applied left to right (first argument acts first).
+
+    Several multiply as 4x4 superoperators sum_k K_k (x) conj(K_k), returned as
+    the canonical Kraus set sqrt(w) * unvec(v) over the Choi matrix's eigenpairs.
+    """
     if not channels:
         raise ValueError("need at least one channel")
-    ops: list[np.ndarray] = list(channels[0].kraus_ops)
-    for ch in channels[1:]:
-        ops = [k2 @ k1 for k2 in ch.kraus_ops for k1 in ops]
-    # drop numerically dead operators so compositions stay compact
-    kept = tuple(k for k in ops if np.abs(k).max() > 1e-15)
-    return QubitChannel(kept if kept else (ops[0],))
+    if len(channels) == 1:
+        return channels[0]
+    sup = np.eye(4, dtype=complex)
+    for ch in channels:
+        k = np.array(ch.kraus_ops)
+        sup = np.einsum("kij,kab->iajb", k, k.conj()).reshape(4, 4) @ sup
+    w, v = np.linalg.eigh(sup.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    keep = (w > 0) | (np.arange(4) == 3)  # the largest stays: a dead channel keeps one
+    ops = np.sqrt(np.maximum(w[keep], 0.0)) * v[:, keep]
+    return QubitChannel(tuple(ops.T.reshape(-1, 2, 2)))
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

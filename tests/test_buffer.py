@@ -427,3 +427,46 @@ class TestValidation:
             SwitchSpec(loss_cross_db=-1.0)
         with pytest.raises(ValueError):
             SwitchSpec(rise_fall_time=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, base, field",
+        [(FiberLoop, {"length_m": 1000.0}, f) for f in (
+            "length_m", "attenuation_db_per_km", "group_index", "pmd_dephasing_per_km")]
+        + [(SwitchSpec, {}, f) for f in (
+            "loss_cross_db", "loss_straight_db", "rise_fall_time", "max_rep_rate_hz")]
+        + [(NoiseConfig, {}, f) for f in (
+            "pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip",
+            "cross_amplitude_damping", "accidental_rate")]
+        + [(BufferTopology, {"variant": V24}, f) for f in (
+            "leak_threshold_hz", "leak_fraction", "selector_loss_db", "selector_rate_hz")],
+    )
+    def test_non_finite_field_rejected(self, cls, base, field, value):
+        # NaN fails every ordering test, so "x < 0" checks alone let it through
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{**base, field: value})
+
+    def test_nan_loop_and_pmd_no_longer_give_a_perfect_channel(self):
+        with pytest.raises(ValueError, match="attenuation_db_per_km"):
+            FiberLoop(5400.0, attenuation_db_per_km=math.nan)
+        with pytest.raises(ValueError, match="pmd_dephasing_per_km"):
+            NoiseConfig(pmd_dephasing_per_km=math.nan)
+
+
+class TestCrossChannelReuse:
+    def test_both_cross_passes_share_channel_objects(self, monkeypatch):
+        seen = []
+        compose = qstate.compose_channels
+        monkeypatch.setattr(
+            qstate, "compose_channels", lambda *parts: seen.append(parts) or compose(*parts)
+        )
+        events = (
+            TimelineEvent(0.0, EventKind.INJECT, 0.0),
+            TimelineEvent(5e-6, EventKind.RETRIEVE, 3.0),
+        )
+        noise = NoiseConfig(cross_bit_flip=0.01, cross_phase_flip=0.02,
+                            cross_amplitude_damping=0.03)
+        channel_for_timeline(PhotonTimeline(events, 5e-6, 1), FiberLoop(1000.0), noise)
+        (parts,) = seen
+        assert len(parts) == 7  # loss, then bit flip, phase flip, damping twice
+        assert all(a is b for a, b in zip(parts[1:4], parts[4:7]))

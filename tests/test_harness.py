@@ -209,6 +209,22 @@ class TestScenarioSerialization:
         path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))
         assert load_scenario(path) == quiet_scenario()
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [("loop", "attenuation_db_per_km"), ("switch", "loss_cross_db"),
+         ("noise", "pmd_dephasing_per_km")],
+    )
+    def test_nan_field_rejected(self, tmp_path, section, field):
+        # a NaN loss used to be skipped as "no loss" and report F = 1
+        payload = scenario_to_dict(quiet_scenario())
+        payload[section][field] = math.nan
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            scenario_from_dict(payload)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))  # written as the JSON token NaN
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_scenario(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -258,6 +274,19 @@ class TestCli:
         )
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_sweep_seed_flag(self, tmp_path):
+        scenario = quiet_scenario(exact_counts=False, pair_rate=5e4, seed=5)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        runs = {"1": ["--seed", "1"], "99": ["--seed", "99"], "5": ["--seed", "5"], "none": []}
+        for out, flag in runs.items():
+            rc = cli.main(["sweep", str(path), "--param", "noise.cross_phase_flip",
+                           "--values", "0.01", "--out", str(tmp_path / out), *flag])
+            assert rc == 0
+        csv = {out: next((tmp_path / out).rglob("dataset.csv")).read_bytes() for out in runs}
+        assert csv["1"] != csv["99"]
+        assert csv["none"] == csv["5"]
 
     def test_bad_scenario_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from fiberloop.qstate import (
     TwoQubitState,
     PAULIS,
     apply_chi,
+    amplitude_damping_channel,
     apply_idler_channel,
     bell_state,
     bit_flip_channel,
@@ -44,6 +45,40 @@ BASIS_STATES = [
 
 def kraus_apply(channel: QubitChannel, op: np.ndarray) -> np.ndarray:
     return sum(k @ op @ k.conj().T for k in channel.kraus_ops)
+
+
+def product_compose(*channels: QubitChannel) -> list[np.ndarray]:
+    """Reference composition: every product K_n ... K_1, one operator per part."""
+    ops = list(channels[0].kraus_ops)
+    for ch in channels[1:]:
+        ops = [k2 @ k1 for k2 in ch.kraus_ops for k1 in ops]
+    return ops
+
+
+def superoperator(ops) -> np.ndarray:
+    """Row-major vec convention: vec(K rho K^dag) = (K kron conj(K)) vec(rho)."""
+    return sum(np.kron(k, k.conj()) for k in ops)
+
+
+def kron_apply(state: TwoQubitState, ops) -> tuple[np.ndarray, float]:
+    """Reference idler action: one (I kron K) sandwich per Kraus operator."""
+    out = np.zeros((4, 4), complex)
+    for k in ops:
+        big = np.kron(np.eye(2), k)
+        out += big @ state.matrix @ big.conj().T
+    survival = float(np.trace(out).real)
+    return out / survival, survival
+
+
+_PRIMITIVES = st.one_of(
+    st.builds(bit_flip_channel, st.floats(0.0, 1.0)),
+    st.builds(phase_flip_channel, st.floats(0.0, 1.0)),
+    st.builds(bit_phase_flip_channel, st.floats(0.0, 1.0)),
+    st.builds(amplitude_damping_channel, st.floats(0.0, 1.0)),
+    st.builds(phase_damping_channel, st.floats(0.0, 1.0)),
+    # eight parts at 1e-6 each still leave 1e-48, far above underflow
+    st.builds(loss_channel, st.floats(1e-6, 1.0)),
+)
 
 
 class TestBellState:
@@ -191,6 +226,53 @@ class TestChannelToChi:
             np.testing.assert_allclose(apply_chi(chi, op), expected, atol=1e-10)
 
 
+class TestChannelAlgebra:
+    """The superoperator composition against the Kraus-product reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_PRIMITIVES, min_size=2, max_size=8), st.integers(0, 2**31 - 1))
+    def test_matches_kraus_products(self, chain, seed):
+        composed = compose_channels(*chain)
+        reference = product_compose(*chain)
+        np.testing.assert_allclose(
+            superoperator(composed.kraus_ops), superoperator(reference), rtol=0, atol=1e-14
+        )
+        assert len(composed.kraus_ops) <= 4
+        total = sum(k.conj().T @ k for k in composed.kraus_ops)
+        assert np.linalg.eigvalsh(total).max() <= 1.0 + 1e-12
+        rho = random_state(seed)
+        out, survival = apply_idler_channel(rho, composed)
+        ref_out, ref_survival = kron_apply(rho, reference)
+        np.testing.assert_allclose(out.matrix, ref_out, rtol=0, atol=1e-14)
+        assert survival == pytest.approx(ref_survival, rel=0, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(1, 4))
+    def test_apply_matches_kron_loop(self, s1, s2, n_kraus):
+        rho, ch = random_state(s1), random_channel(s2, n_kraus=n_kraus, survival=0.6)
+        out, survival = apply_idler_channel(rho, ch)
+        ref_out, ref_survival = kron_apply(rho, ch.kraus_ops)
+        np.testing.assert_allclose(out.matrix, ref_out, rtol=0, atol=1e-14)
+        assert survival == pytest.approx(ref_survival, rel=0, abs=1e-14)
+
+    def test_single_channel_returned_unchanged(self):
+        ch = phase_damping_channel(0.1)
+        assert compose_channels(ch) is ch
+
+    def test_many_parts_give_at_most_four_operators(self):
+        parts = [bit_flip_channel(0.1), phase_flip_channel(0.2), amplitude_damping_channel(0.3)]
+        assert len(product_compose(*parts * 2)) == 64
+        assert len(compose_channels(*parts * 2).kraus_ops) <= 4
+
+    def test_dead_channel_keeps_one_zero_operator(self):
+        dead = QubitChannel((np.zeros((2, 2), complex),))
+        composed = compose_channels(dead, bit_flip_channel(0.5))
+        assert len(composed.kraus_ops) == 1
+        assert np.abs(composed.kraus_ops[0]).max() <= 1e-15
+        with pytest.raises(DegenerateChannelError):
+            apply_idler_channel(bell_state(), composed)
+
+
 class TestFidelities:
     def test_self_fidelity(self):
         assert state_fidelity(bell_state(), bell_state()) == pytest.approx(1.0)
@@ -246,6 +328,19 @@ class TestChannelValidation:
     def test_rejects_trace_increasing(self):
         with pytest.raises(ValueError):
             QubitChannel((1.5 * np.eye(2, dtype=complex),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="kraus_ops must be finite"):
+            QubitChannel((np.full((2, 2), bad, dtype=complex),))
+
+    def test_kraus_ops_are_frozen_copies(self):
+        k = np.eye(2, dtype=complex)
+        ch = QubitChannel((k,))
+        k[0, 0] = 2.0
+        assert ch.kraus_ops[0][0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 2.0
 
     def test_trace_preserving_flag(self):
         assert bit_flip_channel(0.3).is_trace_preserving
