@@ -28,6 +28,7 @@ from .qstate import QubitChannel
 __all__ = [
     "SPEED_OF_LIGHT",
     "LEAK_RATE_GUARD",
+    "MAX_TRIPS",
     "SchedulingError",
     "SwitchCapabilityError",
     "NoRetrievalError",
@@ -58,6 +59,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # carry this guard band so a pattern built exactly at a demonstrated-good rate
 # (e.g. the 1.3 km loop at its realized 78.5 kHz) does not trip the threshold.
 LEAK_RATE_GUARD = 0.01
+
+# Round trips one photon may make: the timeline holds one event per trip, so
+# this bounds the work of one scenario.
+MAX_TRIPS = 1000
 
 _PATTERN_TOL = 1e-3  # 0.1% commensurability tolerance for RF patterns
 _DIVIDER_TOL = 1e-2  # 1% commensurability tolerance for divider paths
@@ -205,7 +210,6 @@ class BufferTopology:
     leak_fraction: float = 1.0
     divider_paths: tuple[FiberLoop, ...] = ()
     selector_loss_db: float = 0.01
-    selector_rate_hz: float = 1.0
 
     def __post_init__(self) -> None:
         if self.leak_threshold_hz is None:
@@ -225,8 +229,6 @@ class BufferTopology:
             raise ValueError("divider paths only apply to MULTIPLIER_DIVIDER")
         if self.selector_loss_db < 0:
             raise ValueError("selector loss must be nonnegative")
-        if not self.selector_rate_hz > 0:
-            raise ValueError("selector rate must be positive")
 
 
 class EventKind(enum.Enum):
@@ -306,20 +308,6 @@ class PhotonTimeline:
     def final_loss_db(self) -> float:
         return self.events[-1].accumulated_loss_db
 
-    def to_json(self) -> dict:
-        return {
-            "events": [
-                {
-                    "time": e.time,
-                    "kind": e.kind.value,
-                    "accumulated_loss_db": e.accumulated_loss_db,
-                }
-                for e in self.events
-            ],
-            "total_buffer_time": self.total_buffer_time,
-            "round_trips": self.round_trips,
-        }
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -354,17 +342,20 @@ def round_trip_time(loop: FiberLoop) -> float:
     return loop.length_m * loop.group_index / SPEED_OF_LIGHT
 
 
+def _check_trips(n_trips: int) -> None:
+    if not 1 <= n_trips <= MAX_TRIPS:
+        raise ValueError(f"need 1 to {MAX_TRIPS} round trips, got {n_trips}")
+
+
 def buffer_time(n_trips: int, loop: FiberLoop) -> float:
     """Total storage time N * L * n_g / c."""
-    if n_trips < 1:
-        raise ValueError(f"need at least one round trip, got {n_trips}")
+    _check_trips(n_trips)
     return n_trips * round_trip_time(loop)
 
 
 def rf_pattern_for(n_trips: int, loop: FiberLoop) -> RfPattern:
     """ON for one round-trip, OFF for the remaining N-1 round-trips."""
-    if n_trips < 1:
-        raise ValueError(f"need at least one round trip, got {n_trips}")
+    _check_trips(n_trips)
     t = round_trip_time(loop)
     return RfPattern(on_duration=t, off_duration=(n_trips - 1) * t)
 
@@ -376,8 +367,7 @@ def insertion_loss_db(
     extra_switch_losses_db: tuple[float, ...] = (),
 ) -> float:
     """Loss budget: 2 cross passes + (N-1) straight passes + fiber + extras."""
-    if n_trips < 1:
-        raise ValueError(f"need at least one round trip, got {n_trips}")
+    _check_trips(n_trips)
     fiber = loop.attenuation_db_per_km * n_trips * loop.length_km
     return (
         2.0 * switch.loss_cross_db
@@ -469,7 +459,7 @@ def _walk_path(
     straight_db: float,
     cross_db: float,
     exit_kind: EventKind,
-    max_trips: int = 1000,
+    max_trips: int = MAX_TRIPS,
 ) -> PhotonTimeline:
     """Arrival-by-arrival walk of one divider path until an ON window exit."""
     frame = pattern.on_duration + pattern.off_duration

@@ -179,15 +179,13 @@ class CountingConfig:
 
     ``accidental_rate`` lumps Raman scattering and dark-count correlations
     into one flat rate per setting; it is generated and then subtracted, so
-    it only adds Poisson noise downstream.  ``detector_gate_rate_hz`` records
-    the detector gating and does not enter the count model.
+    it only adds Poisson noise downstream.
     """
 
     pair_rate: float
     signal_arm_loss_db: float = 0.0
     idler_arm_loss_db: float = 0.0
     accidental_rate: float = 0.0
-    detector_gate_rate_hz: float = 50e6
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -195,8 +193,6 @@ class CountingConfig:
             raise ValueError("rates must be nonnegative")
         if self.signal_arm_loss_db < 0 or self.idler_arm_loss_db < 0:
             raise ValueError("arm losses must be nonnegative")
-        if self.detector_gate_rate_hz < 0:
-            raise ValueError("gate rate must be nonnegative")
 
 
 def expected_coincidence_rate(
@@ -218,6 +214,25 @@ def _setting_rng(seed: int, setting_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _setting_means(
+    rho: TwoQubitState,
+    cfg: CountingConfig,
+    integration_time: float,
+    settings: Sequence[AnalyzerSetting] | None,
+) -> list[tuple[int, float, float]]:
+    """(setting index, coincidence mean, accidental mean) for every setting."""
+    if not integration_time > 0:
+        raise ValueError("integration time must be positive")
+    if settings is None:
+        settings = standard_16_settings()
+    means = []
+    for idx, proj in enumerate(joint_projectors(settings)):
+        rate = expected_coincidence_rate(rho, proj, cfg)
+        means.append((idx, (rate + cfg.accidental_rate) * integration_time,
+                      cfg.accidental_rate * integration_time))
+    return means
+
+
 def simulate_dataset(
     rho: TwoQubitState,
     cfg: CountingConfig,
@@ -225,16 +240,11 @@ def simulate_dataset(
     settings: Sequence[AnalyzerSetting] | None = None,
 ) -> list[CountRecord]:
     """Poisson coincidence/accidental counts for every analyzer setting."""
-    if not integration_time > 0:
-        raise ValueError("integration time must be positive")
-    if settings is None:
-        settings = standard_16_settings()
     records = []
-    for idx, proj in enumerate(joint_projectors(settings)):
-        rate = expected_coincidence_rate(rho, proj, cfg)
+    for idx, cc_mean, ac_mean in _setting_means(rho, cfg, integration_time, settings):
         rng = _setting_rng(cfg.rng_seed, idx)
-        cc = int(rng.poisson((rate + cfg.accidental_rate) * integration_time))
-        ac = int(rng.poisson(cfg.accidental_rate * integration_time))
+        cc = int(rng.poisson(cc_mean))
+        ac = int(rng.poisson(ac_mean))
         records.append(CountRecord(idx, cc, ac, integration_time))
     return records
 
@@ -246,17 +256,10 @@ def expected_dataset(
     settings: Sequence[AnalyzerSetting] | None = None,
 ) -> list[CountRecord]:
     """Infinite-statistics dataset: Poisson means rounded to integers."""
-    if not integration_time > 0:
-        raise ValueError("integration time must be positive")
-    if settings is None:
-        settings = standard_16_settings()
-    records = []
-    for idx, proj in enumerate(joint_projectors(settings)):
-        rate = expected_coincidence_rate(rho, proj, cfg)
-        cc = round((rate + cfg.accidental_rate) * integration_time)
-        ac = round(cfg.accidental_rate * integration_time)
-        records.append(CountRecord(idx, cc, ac, integration_time))
-    return records
+    return [
+        CountRecord(idx, round(cc_mean), round(ac_mean), integration_time)
+        for idx, cc_mean, ac_mean in _setting_means(rho, cfg, integration_time, settings)
+    ]
 
 
 _CSV_HEADER = [

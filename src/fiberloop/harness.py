@@ -7,10 +7,14 @@ noise, counting statistics, seed).  Running it chains the full pipeline:
     coincidence dataset -> ML state reconstruction -> chi extraction ->
     figures of merit
 
-Results are written under ``<out>/<run-id>/<scenario>/`` as dataset.csv,
-rho.json, chi.json, metrics.json, timeline.json, and run_result.json; the
-run id is derived from a hash of the configuration (or supplied by the
-caller), never from the wall clock, so repeated runs are byte identical.
+Every entry point (one scenario, the table1 and divider suites, a sweep)
+runs these steps through ``evaluate``.  Results are written under
+``<out>/<run-id>/<scenario>/`` as dataset.csv, rho.json, chi.json,
+metrics.json, timeline.json, and run_result.json (only the last two for a
+photon that leaked or ghost-exited).  The run id hashes ``counts_scale`` and
+every scenario the run writes, never the wall clock, so repeated runs are
+byte identical and different runs never share a directory; a suite prefixes
+the hash with its kind.
 
 The default decoherence calibration, profile ``paper-2023``, is anchored to
 two measured operating points of the modeled device: the 2 m traveling
@@ -23,13 +27,15 @@ independent prediction; see README for the derivation and limits.
 
 from __future__ import annotations
 
+import csv
+import enum
 import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from . import buffer as buf
 from . import counting as cnt
@@ -44,6 +50,7 @@ __all__ = [
     "Scenario",
     "RunResult",
     "TABLE1_ROWS",
+    "evaluate",
     "run_scenario",
     "run_table1_suite",
     "run_divider_suite",
@@ -55,7 +62,7 @@ __all__ = [
     "GHOST_SURVIVAL_FLOOR",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Ghost recirculations are reported with "negligible single counts" when the
 # photon survival drops below this floor (the reference-geometry ghost, five
@@ -120,20 +127,19 @@ class Scenario:
     pair_rate: float = 50e3
     signal_arm_loss_db: float = 0.0
     integration_time: float = 2.0
-    detector_gate_rate_hz: float = 50e6
     seed: int = 0
     expect_leak: bool = False
     exact_counts: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ScenarioError("scenario needs a name")
+        # the name is a directory under --out: one path component of <= 255 bytes
+        bad = self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name
+        if bad or len(self.name.encode()) > 255:
+            raise ScenarioError(
+                f"scenario name {self.name!r}: not one path component of <= 255 bytes"
+            )
         if self.n_trips < 1:
             raise ScenarioError("scenario needs n_trips >= 1")
-
-    def config_hash(self) -> str:
-        payload = json.dumps(scenario_to_dict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,9 @@ class RunResult:
     artifacts: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for v in (self.buffer_time, self.insertion_loss_db, self.survival):
+            if not math.isfinite(v):  # an overflowing loss budget, say
+                raise ValueError(f"result values must be finite, got {v}")
         if self.buffer_time < 0:
             raise ValueError("buffer time must be nonnegative")
         for v in (self.state_fidelity, self.process_fidelity):
@@ -174,45 +183,82 @@ class RunResult:
             "F_chi": self.process_fidelity,
             "purity": self.purity,
             "chi_diag": list(self.chi_diagonal) if self.chi_diagonal else None,
-            "timeline": self.timeline.to_json(),
+            "timeline": _to_json(self.timeline),
             "artifacts": dict(sorted(self.artifacts.items())),
         }
 
 
-def _metrics_for_state(
-    state: qstate.TwoQubitState,
-    survival: float,
+def evaluate(
+    timeline: buf.PhotonTimeline,
     scenario: Scenario,
-    counts_scale: float,
-) -> tuple[tomo.MetricsRecord, list[cnt.CountRecord], tuple[cnt.AnalyzerSetting, ...], qstate.TwoQubitState, qstate.ChiMatrix]:
-    idler_loss_db = -10.0 * math.log10(survival) if survival < 1.0 else 0.0
-    cfg = cnt.CountingConfig(
-        pair_rate=scenario.pair_rate,
-        signal_arm_loss_db=scenario.signal_arm_loss_db,
-        idler_arm_loss_db=idler_loss_db,
-        accidental_rate=scenario.noise.accidental_rate,
-        detector_gate_rate_hz=scenario.detector_gate_rate_hz,
-        rng_seed=scenario.seed,
-    )
-    settings = cnt.standard_16_settings()
-    t = scenario.integration_time * counts_scale
-    if scenario.exact_counts:
-        records = cnt.expected_dataset(state, cfg, t, settings)
-    else:
-        records = cnt.simulate_dataset(state, cfg, t, settings)
-    rho = tomo.reconstruct_state(records, settings)
-    chi = tomo.reconstruct_chi(rho)
-    return tomo.report_metrics(rho, chi), records, settings, rho, chi
+    counts_scale: float = 1.0,
+    out_dir: str | Path | None = None,
+    run_id: str | None = None,
+) -> RunResult:
+    """The pipeline every run goes through, from one photon timeline.
+
+    Idler channel -> state -> coincidence dataset -> ML fit -> chi and
+    metrics -> artifacts under ``<out>/<run-id>/<scenario>/`` if ``out_dir``
+    is given (``run_id`` defaults to the id of this run alone).  A timeline
+    that leaked or ghost-exited gives a result with no fit.
+    """
+    with _scenario_context(scenario.name):
+        survival = buf.loss_to_survival(timeline.final_loss_db)
+        fit: dict[str, Any] = {}
+        scores: dict[str, Any] = {}
+        if timeline.retrieved:
+            channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
+            state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
+            cfg = cnt.CountingConfig(
+                pair_rate=scenario.pair_rate,
+                signal_arm_loss_db=scenario.signal_arm_loss_db,
+                idler_arm_loss_db=-10.0 * math.log10(survival) if survival < 1.0 else 0.0,
+                accidental_rate=scenario.noise.accidental_rate,
+                rng_seed=scenario.seed,
+            )
+            settings = cnt.standard_16_settings()
+            draw = cnt.expected_dataset if scenario.exact_counts else cnt.simulate_dataset
+            records = draw(state, cfg, scenario.integration_time * counts_scale, settings)
+            rho = tomo.reconstruct_state(records, settings)
+            chi = tomo.reconstruct_chi(rho)
+            metrics = tomo.report_metrics(rho, chi)
+            fit = dict(records=records, settings=settings, rho=rho, chi=chi, metrics=metrics)
+            scores = dict(
+                state_fidelity=metrics.state_fidelity,
+                process_fidelity=metrics.process_fidelity,
+                purity=metrics.purity,
+                chi_diagonal=metrics.chi_diagonal,
+            )
+        result = RunResult(
+            scenario_name=scenario.name,
+            buffer_time=timeline.total_buffer_time,
+            insertion_loss_db=timeline.final_loss_db,
+            survival=survival,
+            timeline=timeline,
+            leaked=timeline.leaked,
+            ghost=timeline.ghosted,
+            negligible_counts=timeline.ghosted and survival < GHOST_SURVIVAL_FLOOR,
+            **scores,
+        )
+        if out_dir is not None:
+            run_id = run_id or _run_id([scenario], counts_scale)
+            result = write_run_result(result, scenario, out_dir, run_id=run_id, **fit)
+    return result
 
 
 def run_scenario(
     scenario: Scenario,
     counts_scale: float = 1.0,
     out_dir: str | Path | None = None,
+    run_id: str | None = None,
 ) -> RunResult:
-    """Run the full pipeline for one scenario; persist artifacts if asked."""
+    """Run one plain-loop scenario end to end; persist artifacts if asked."""
     with _scenario_context(scenario.name):
-        return _run_scenario(scenario, counts_scale, out_dir)
+        pattern = buf.rf_pattern_for(scenario.n_trips, scenario.loop)
+        timeline = buf.simulate_timeline(
+            pattern, scenario.loop, scenario.topology, scenario.switch
+        )
+    return evaluate(timeline, scenario, counts_scale, out_dir, run_id)
 
 
 @contextmanager
@@ -227,48 +273,14 @@ def _scenario_context(name: str) -> Iterator[None]:
         raise ScenarioError(f"scenario {name!r}: {err}") from err
 
 
-def _run_scenario(
-    scenario: Scenario, counts_scale: float, out_dir: str | Path | None
-) -> RunResult:
-    pattern = buf.rf_pattern_for(scenario.n_trips, scenario.loop)
-    timeline = buf.simulate_timeline(
-        pattern, scenario.loop, scenario.topology, scenario.switch
+def _run_id(scenarios: Sequence[Scenario], counts_scale: float, kind: str = "") -> str:
+    """Hash of ``counts_scale`` and every scenario the run writes; a suite
+    prefixes it with its kind."""
+    payload = json.dumps(
+        [counts_scale, [scenario_to_dict(s) for s in scenarios]], sort_keys=True
     )
-    if timeline.leaked:
-        result = RunResult(
-            scenario_name=scenario.name,
-            buffer_time=timeline.total_buffer_time,
-            insertion_loss_db=timeline.final_loss_db,
-            survival=buf.loss_to_survival(timeline.final_loss_db),
-            timeline=timeline,
-            leaked=True,
-        )
-        if out_dir is not None:
-            result = write_run_result(result, scenario, out_dir)
-        return result
-
-    channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
-    state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
-    metrics, records, settings, rho, chi = _metrics_for_state(
-        state, survival, scenario, counts_scale
-    )
-    result = RunResult(
-        scenario_name=scenario.name,
-        buffer_time=timeline.total_buffer_time,
-        insertion_loss_db=timeline.final_loss_db,
-        survival=survival,
-        timeline=timeline,
-        state_fidelity=metrics.state_fidelity,
-        process_fidelity=metrics.process_fidelity,
-        purity=metrics.purity,
-        chi_diagonal=metrics.chi_diagonal,
-    )
-    if out_dir is not None:
-        result = write_run_result(
-            result, scenario, out_dir, records=records, settings=settings,
-            rho=rho, chi=chi, metrics=metrics,
-        )
-    return result
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return f"{kind}-{digest}" if kind else digest
 
 
 def _json_dump(path: Path, payload: Any) -> None:
@@ -286,12 +298,12 @@ def write_run_result(
     chi: qstate.ChiMatrix | None = None,
     metrics: tomo.MetricsRecord | None = None,
 ) -> RunResult:
-    """Persist one result under <out>/<run-id>/<scenario>/ and record paths."""
-    rid = run_id or scenario.config_hash()
-    base = Path(out_dir) / rid / scenario.name
+    """Persist one result under <out>/<run-id>/<scenario>/ and record paths;
+    ``run_id`` defaults to the id of a lone run at ``counts_scale`` 1."""
+    base = Path(out_dir) / (run_id or _run_id([scenario], 1.0)) / scenario.name
     base.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, str] = {}
-    _json_dump(base / "timeline.json", result.timeline.to_json())
+    _json_dump(base / "timeline.json", _to_json(result.timeline))
     artifacts["timeline"] = str(base / "timeline.json")
     if records is not None and settings is not None:
         cnt.write_dataset_csv(base / "dataset.csv", records, settings)
@@ -377,10 +389,10 @@ def run_table1_suite(
 ) -> tuple[list[RunResult], list[dict]]:
     """Run all benchmark rows and build the pass/fail comparison table."""
     scenarios = table1_scenarios(seed=seed, exact_counts=exact_counts)
-    results, comparison = [], []
-    for row, scenario in zip(TABLE1_ROWS, scenarios):
-        result = run_scenario(scenario, counts_scale=counts_scale, out_dir=out_dir)
-        results.append(result)
+    rid = _run_id(scenarios, counts_scale, "table1")
+    results = [run_scenario(s, counts_scale, out_dir, rid) for s in scenarios]
+    comparison = []
+    for row, result in zip(TABLE1_ROWS, results):
         time_ok = abs(result.buffer_time - row.ref_time_s) <= TIME_TOLERANCE * row.ref_time_s
         loss_ok = abs(result.insertion_loss_db - row.ref_loss_db) <= LOSS_TOLERANCE_DB
         comparison.append(
@@ -399,25 +411,11 @@ def run_table1_suite(
             }
         )
     if out_dir is not None:
-        rid = _suite_run_id("table1", seed, counts_scale)
-        base = Path(out_dir) / rid
-        base.mkdir(parents=True, exist_ok=True)
-        _write_comparison_csv(base / "comparison.csv", comparison)
+        with open(Path(out_dir) / rid / "comparison.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(comparison[0].keys()))
+            writer.writeheader()
+            writer.writerows(comparison)
     return results, comparison
-
-
-def _suite_run_id(kind: str, seed: int, counts_scale: float) -> str:
-    payload = json.dumps({"kind": kind, "seed": seed, "counts_scale": counts_scale})
-    return f"{kind}-{hashlib.sha256(payload.encode()).hexdigest()[:12]}"
-
-
-def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # Divider geometry: a 4.0 km ultra-low-loss unit delay and a 1.0 km quarter
@@ -426,13 +424,6 @@ def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
 # doubled unit delay, and the trapped ghost recirculation.
 DIVIDER_UNIT_LOOP = buf.FiberLoop(4000.0, attenuation_db_per_km=0.15)
 DIVIDER_SHORT_LOOP = buf.FiberLoop(1000.0, attenuation_db_per_km=0.15)
-
-
-def divider_topology() -> buf.BufferTopology:
-    return buf.BufferTopology(
-        buf.TopologyVariant.MULTIPLIER_DIVIDER,
-        divider_paths=(DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP),
-    )
 
 
 def _bypass_timeline(switch: buf.SwitchSpec) -> buf.PhotonTimeline:
@@ -451,79 +442,41 @@ def run_divider_suite(
     pair_rate: float = 50e3,
     accidental_rate: float = 100.0,
     exact_counts: bool = False,
-    ghost_survival_floor: float = GHOST_SURVIVAL_FLOOR,
 ) -> list[RunResult]:
     """Bypass, divided, and doubled delays plus the ghost recirculation."""
     switch = buf.SwitchSpec()
-    topo = divider_topology()
+    topo = buf.BufferTopology(
+        buf.TopologyVariant.MULTIPLIER_DIVIDER,
+        divider_paths=(DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP),
+    )
     pattern = buf.rf_pattern_for(2, DIVIDER_UNIT_LOOP)
-    noise = profile.to_noise(accidental_rate)
-    results: list[RunResult] = []
-
     entries: list[tuple[str, buf.FiberLoop, buf.PhotonTimeline]] = [
-        ("divider-bypass", DIVIDER_SHORT_LOOP, _bypass_timeline(switch))
+        ("bypass", DIVIDER_SHORT_LOOP, _bypass_timeline(switch))
     ]
     for path, timeline in buf.divider_schedule(topo, pattern, switch):
         label = "unit-x2" if path is DIVIDER_UNIT_LOOP else "divided-by-4"
-        if timeline.ghosted:
-            label = "ghost"
-        entries.append((f"divider-{label}", path, timeline))
-
-    for i, (name, path_loop, timeline) in enumerate(entries):
-        survival_budget = buf.loss_to_survival(timeline.final_loss_db)
-        if timeline.ghosted:
-            results.append(
-                RunResult(
-                    scenario_name=name,
-                    buffer_time=timeline.total_buffer_time,
-                    insertion_loss_db=timeline.final_loss_db,
-                    survival=survival_budget,
-                    timeline=timeline,
-                    ghost=True,
-                    negligible_counts=survival_budget < ghost_survival_floor,
-                )
-            )
-            continue
-        scenario = Scenario(
-            name=name,
-            loop=path_loop,
+        entries.append(("ghost" if timeline.ghosted else label, path, timeline))
+    scenarios = [
+        Scenario(
+            name=f"divider-{label}",
+            loop=path,
             n_trips=max(timeline.round_trips, 1),
             topology=topo,
             switch=switch,
-            noise=noise,
+            noise=profile.to_noise(accidental_rate),
             pair_rate=pair_rate,
             seed=seed * 1000 + i,
             exact_counts=exact_counts,
         )
-        with _scenario_context(name):
-            channel = buf.channel_for_timeline(timeline, path_loop, noise)
-            state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
-            metrics, records, settings, rho, chi = _metrics_for_state(
-                state, survival, scenario, counts_scale
-            )
-        result = RunResult(
-            scenario_name=name,
-            buffer_time=timeline.total_buffer_time,
-            insertion_loss_db=timeline.final_loss_db,
-            survival=survival,
-            timeline=timeline,
-            state_fidelity=metrics.state_fidelity,
-            process_fidelity=metrics.process_fidelity,
-            purity=metrics.purity,
-            chi_diagonal=metrics.chi_diagonal,
-        )
-        if out_dir is not None:
-            rid = _suite_run_id("divider", seed, counts_scale)
-            result = write_run_result(
-                result, scenario, out_dir, run_id=rid, records=records,
-                settings=settings, rho=rho, chi=chi, metrics=metrics,
-            )
-        results.append(result)
+        for i, (label, path, timeline) in enumerate(entries)
+    ]
+    rid = _run_id(scenarios, counts_scale, "divider")
+    results = [
+        evaluate(timeline, s, counts_scale, out_dir, rid)
+        for s, (_, _, timeline) in zip(scenarios, entries)
+    ]
     if out_dir is not None:
-        rid = _suite_run_id("divider", seed, counts_scale)
-        base = Path(out_dir) / rid
-        base.mkdir(parents=True, exist_ok=True)
-        _json_dump(base / "divider_summary.json", [r.to_json() for r in results])
+        _json_dump(Path(out_dir) / rid / "divider_summary.json", [r.to_json() for r in results])
     return results
 
 
@@ -535,184 +488,117 @@ def run_sweep(
     out_dir: str | Path | None = None,
 ) -> list[RunResult]:
     """Re-run one scenario with a dotted parameter overridden per value."""
-    results = []
+    *head, leaf = param_path.split(".")
+    scenarios = []
     for v in values:
         payload = scenario_to_dict(base)
         node = payload
-        *head, leaf = param_path.split(".")
         for key in head:
-            if key not in node or not isinstance(node[key], dict):
-                raise ScenarioError(f"sweep path {param_path!r} not found")
-            node = node[key]
-        if leaf not in node:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node:
             raise ScenarioError(f"sweep path {param_path!r} not found")
         node[leaf] = v
         payload["name"] = f"{base.name}-{leaf}={v}"
-        scenario = scenario_from_dict(payload)
-        results.append(run_scenario(scenario, counts_scale=counts_scale, out_dir=out_dir))
-    return results
+        scenarios.append(scenario_from_dict(payload))
+    rid = _run_id(scenarios, counts_scale, "sweep")
+    return [run_scenario(s, counts_scale, out_dir, rid) for s in scenarios]
 
 
 # ---------------------------------------------------------------------------
-# Scenario (de)serialization.  The schema is versioned and strict: unknown
-# keys are rejected so typos fail fast.
+# Scenario (de)serialization.  The schema is the dataclass fields, versioned
+# and strict: unknown keys and mistyped values are rejected so typos fail
+# fast.  Version 2 dropped two inert knobs that version 1 files may carry.
 
-def _check_keys(section: str, payload: dict, allowed: set[str], required: set[str]) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ScenarioError(f"{section}: unknown keys {sorted(unknown)}")
-    missing = required - set(payload)
-    if missing:
-        raise ScenarioError(f"{section}: missing keys {sorted(missing)}")
+# Flat Scenario fields that the file groups under "counting".
+_COUNTING_FIELDS = ("pair_rate", "signal_arm_loss_db", "integration_time")
+_V1_DROPPED = (("topology", "selector_rate_hz"), ("counting", "detector_gate_rate_hz"))
+
+
+def _to_json(value: Any) -> Any:
+    """Dataclass fields as JSON: enums by value, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    payload: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "n_trips": s.n_trips,
-        "seed": s.seed,
-        "expect_leak": s.expect_leak,
-        "exact_counts": s.exact_counts,
-        "loop": {
-            "length_m": s.loop.length_m,
-            "attenuation_db_per_km": s.loop.attenuation_db_per_km,
-            "group_index": s.loop.group_index,
-            "pmd_dephasing_per_km": s.loop.pmd_dephasing_per_km,
-        },
-        "topology": {
-            "variant": s.topology.variant.value,
-            "leak_threshold_hz": s.topology.leak_threshold_hz,
-            "leak_fraction": s.topology.leak_fraction,
-        },
-        "switch": {
-            "loss_cross_db": s.switch.loss_cross_db,
-            "loss_straight_db": s.switch.loss_straight_db,
-            "rise_fall_time": s.switch.rise_fall_time,
-            "max_rep_rate_hz": s.switch.max_rep_rate_hz,
-            "v_pi_calibrated": s.switch.v_pi_calibrated,
-        },
-        "noise": {
-            "pmd_dephasing_per_km": s.noise.pmd_dephasing_per_km,
-            "cross_bit_flip": s.noise.cross_bit_flip,
-            "cross_phase_flip": s.noise.cross_phase_flip,
-            "cross_amplitude_damping": s.noise.cross_amplitude_damping,
-            "accidental_rate": s.noise.accidental_rate,
-        },
-        "counting": {
-            "pair_rate": s.pair_rate,
-            "signal_arm_loss_db": s.signal_arm_loss_db,
-            "integration_time": s.integration_time,
-            "detector_gate_rate_hz": s.detector_gate_rate_hz,
-        },
-    }
-    if s.topology.divider_paths:
-        payload["topology"]["divider_paths"] = [
-            {
-                "length_m": p.length_m,
-                "attenuation_db_per_km": p.attenuation_db_per_km,
-                "group_index": p.group_index,
-                "pmd_dephasing_per_km": p.pmd_dephasing_per_km,
-            }
-            for p in s.topology.divider_paths
-        ]
-        payload["topology"]["selector_loss_db"] = s.topology.selector_loss_db
-        payload["topology"]["selector_rate_hz"] = s.topology.selector_rate_hz
-    return payload
+    payload = _to_json(s)
+    payload["counting"] = {name: payload.pop(name) for name in _COUNTING_FIELDS}
+    return {"schema_version": SCHEMA_VERSION, **payload}
 
 
-_LOOP_KEYS = {"length_m", "attenuation_db_per_km", "group_index", "pmd_dephasing_per_km"}
-
-
-def _loop_from_dict(section: str, payload: dict) -> buf.FiberLoop:
-    _check_keys(section, payload, _LOOP_KEYS, {"length_m"})
-    return buf.FiberLoop(**payload)
-
-
-def scenario_from_dict(payload: dict) -> Scenario:
-    _check_keys(
-        "scenario",
-        payload,
-        {
-            "schema_version", "name", "n_trips", "seed", "expect_leak",
-            "exact_counts", "noise_profile", "loop", "topology", "switch",
-            "noise", "counting",
-        },
-        {"schema_version", "name", "n_trips", "loop", "topology"},
-    )
-    if payload["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"unsupported schema version {payload['schema_version']} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    loop = _loop_from_dict("loop", dict(payload["loop"]))
-
-    topo_payload = dict(payload["topology"])
-    _check_keys(
-        "topology",
-        topo_payload,
-        {"variant", "leak_threshold_hz", "leak_fraction", "divider_paths", "selector_loss_db", "selector_rate_hz"},
-        {"variant"},
-    )
+def _typed(where: str, hint: Any, value: Any) -> Any:
+    """One JSON value checked against its field's annotation."""
+    if is_dataclass(hint):
+        return _build(hint, where, value)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: expected a list, got {value!r}")
+        return tuple(_typed(f"{where}[{i}]", get_args(hint)[0], v) for i, v in enumerate(value))
+    kinds = get_args(hint) or (hint,)  # float | None gives (float, NoneType)
     try:
-        variant = buf.TopologyVariant(topo_payload.pop("variant"))
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
-    paths = tuple(
-        _loop_from_dict("divider_paths", dict(p))
-        for p in topo_payload.pop("divider_paths", [])
-    )
-    topology = buf.BufferTopology(variant, divider_paths=paths, **topo_payload)
+        if isinstance(hint, enum.EnumMeta):
+            return hint(value)
+        if float in kinds and type(value) is int:
+            value = float(value)
+    except (ValueError, OverflowError) as err:  # unknown member, huge integer
+        raise ScenarioError(f"{where}: {err}") from err
+    if type(value) not in kinds:  # so a bool is no number
+        raise ScenarioError(f"{where}: expected {hint}, got {value!r}")
+    return value
 
-    switch_payload = dict(payload.get("switch", {}))
-    _check_keys(
-        "switch",
-        switch_payload,
-        {"loss_cross_db", "loss_straight_db", "rise_fall_time", "max_rep_rate_hz", "v_pi_calibrated"},
-        set(),
-    )
-    switch = buf.SwitchSpec(**switch_payload)
 
-    noise_payload = dict(payload.get("noise", {}))
-    _check_keys(
-        "noise",
-        noise_payload,
-        {"pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip", "cross_amplitude_damping", "accidental_rate"},
-        set(),
-    )
-    profile_name = payload.get("noise_profile")
-    if profile_name is not None:
-        if profile_name not in NOISE_PROFILES:
-            raise ScenarioError(f"unknown noise profile {profile_name!r}")
-        profile = NOISE_PROFILES[profile_name]
-        defaults = {
-            "pmd_dephasing_per_km": profile.pmd_dephasing_per_km,
-            "cross_bit_flip": profile.cross_bit_flip,
-            "cross_phase_flip": profile.cross_phase_flip,
-            "cross_amplitude_damping": profile.cross_amplitude_damping,
-        }
-        noise_payload = defaults | noise_payload
-    noise = buf.NoiseConfig(**noise_payload)
+def _section(cls: type, where: str, payload: Any, names: Sequence[str]) -> dict:
+    """Typed values of one file section, which may hold only ``names``."""
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{where}: expected an object, got {payload!r}")
+    unknown = set(payload) - set(names)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    return {k: _typed(f"{where}.{k}", hints[k], v) for k, v in payload.items()}
 
-    counting_payload = dict(payload.get("counting", {}))
-    _check_keys(
-        "counting",
-        counting_payload,
-        {"pair_rate", "signal_arm_loss_db", "integration_time", "detector_gate_rate_hz"},
-        set(),
-    )
-    return Scenario(
-        name=payload["name"],
-        loop=loop,
-        n_trips=payload["n_trips"],
-        topology=topology,
-        switch=switch,
-        noise=noise,
-        seed=payload.get("seed", 0),
-        expect_leak=payload.get("expect_leak", False),
-        exact_counts=payload.get("exact_counts", False),
-        **counting_payload,
-    )
+
+def _build(cls: type, where: str, payload: Any, names: Sequence[str] = (), **given: Any) -> Any:
+    """Build ``cls`` from one section holding only ``names`` (default: every
+    field) plus ``given`` values read elsewhere; its constructor's errors (a
+    missing field, a validator's complaint) name the section."""
+    names = names or [f.name for f in fields(cls)]
+    try:
+        return cls(**_section(cls, where, payload, names), **given)
+    except (ValueError, TypeError) as err:
+        if isinstance(err, ScenarioError):
+            raise
+        raise ScenarioError(f"{where}: {err}") from err
+
+
+def scenario_from_dict(payload: Any) -> Scenario:
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"scenario: expected an object, got {payload!r}")
+    payload = dict(payload)
+    version = payload.pop("schema_version", None)
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise ScenarioError(
+            f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
+        )
+    if version == 1:
+        for section, key in _V1_DROPPED:
+            if isinstance(payload.get(section), dict):
+                payload[section] = {k: v for k, v in payload[section].items() if k != key}
+    profile = payload.pop("noise_profile", None)
+    if profile is not None:
+        if not isinstance(profile, str) or profile not in NOISE_PROFILES:
+            raise ScenarioError(f"unknown noise profile {profile!r}")
+        noise = payload.get("noise", {})
+        if isinstance(noise, dict):  # any other type fails in the noise section
+            payload["noise"] = _to_json(NOISE_PROFILES[profile].to_noise()) | noise
+    counting = _section(Scenario, "counting", payload.pop("counting", {}), _COUNTING_FIELDS)
+    flat = [f.name for f in fields(Scenario) if f.name not in _COUNTING_FIELDS]
+    return _build(Scenario, "scenario", payload, flat, **counting)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -17,13 +17,13 @@ The solve is a primal interior-point method: damped Newton steps on
 until strictly positive, with the barrier weight mu = 1 divided by 10 after
 each inner solve.  Each step is a traceless Hermitian matrix found in the
 eigenbasis of sigma, where the barrier's Hessian is diagonal.  The solve
-stops when the first-order certificate
+stops at the first re-centered point where the first-order certificate
 
     lambda_max(sum_j n_j E_j / p_j) - N  >=  log L_max - log L(sigma)
 
-drops to ``MleConfig.convergence_tol`` nats (Glancy, Knill & Girard, NJP 14,
-095017 (2012)), and raises ``MleConvergenceError`` if it does not within
-``MleConfig.max_iterations`` Newton steps.  The result is deterministic.
+is at most ``MleConfig.convergence_tol`` nats, or its rounding 64 N eps if larger
+(Glancy, Knill & Girard, NJP 14, 095017 (2012)); it raises ``MleConvergenceError``
+after ``MleConfig.max_iterations`` Newton steps.  The result is deterministic.
 
 The process matrix of the buffered idler comes from the same data: the
 reconstructed joint state, read relative to the prepared pair state
@@ -239,10 +239,12 @@ def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
     """Certified maximum-likelihood sigma."""
     sigma = _warm_start(design, counts)
     n_total = counts.sum()
-    mu = 1.0
+    tol = max(cfg.convergence_tol, 64 * np.finfo(float).eps * n_total)
+    mu, centered = 1.0, False
     for steps in range(cfg.max_iterations + 1):
         _, grad = _nll_and_grad(sigma, design, counts)
-        if np.linalg.eigvalsh(-grad)[-1] - n_total <= cfg.convergence_tol:
+        # Certify only points re-centered by a full step: there the bound is mu (4 - 1/lambda_max).
+        if centered and np.linalg.eigvalsh(-grad)[-1] - n_total <= tol:
             return sigma
         if steps == cfg.max_iterations:
             break
@@ -257,7 +259,7 @@ def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
         if centered:
             mu /= 10.0
     raise MleConvergenceError(
-        f"likelihood certificate above {cfg.convergence_tol:g} nats "
+        f"likelihood certificate above {tol:g} nats "
         f"after {cfg.max_iterations} Newton steps"
     )
 
@@ -270,7 +272,7 @@ def reconstruct_state(
     """Maximum-likelihood density matrix from net coincidence counts.
 
     The returned state is certified to lie within ``cfg.convergence_tol``
-    nats of the maximum likelihood.
+    nats (or 64 N eps for N net counts, if larger) of the maximum likelihood.
     """
     if len(records) != len(settings):
         raise ValueError("need one setting per count record")

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from fiberloop import buffer as buf
 from fiberloop import counting as cnt
 from fiberloop import harness, qstate
 from fiberloop import tomography as tomo
@@ -45,12 +45,11 @@ def nll(counts: np.ndarray, rho: np.ndarray) -> float:
 
 
 def scenario_records(scenario: harness.Scenario) -> list[cnt.CountRecord]:
-    pattern = buf.rf_pattern_for(scenario.n_trips, scenario.loop)
-    timeline = buf.simulate_timeline(pattern, scenario.loop, scenario.topology, scenario.switch)
-    assert not timeline.leaked, scenario.name
-    channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
-    state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
-    _, records, _, _, _ = harness._metrics_for_state(state, survival, scenario, 1.0)
+    """The dataset the harness pipeline draws for ``scenario``."""
+    with tempfile.TemporaryDirectory() as out:
+        result = harness.run_scenario(scenario, out_dir=out)
+        assert not result.leaked, scenario.name
+        records, _ = cnt.read_dataset_csv(result.artifacts["dataset"])
     return records
 
 

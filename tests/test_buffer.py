@@ -439,7 +439,7 @@ class TestValidation:
             "pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip",
             "cross_amplitude_damping", "accidental_rate")]
         + [(BufferTopology, {"variant": V24}, f) for f in (
-            "leak_threshold_hz", "leak_fraction", "selector_loss_db", "selector_rate_hz")],
+            "leak_threshold_hz", "leak_fraction", "selector_loss_db")],
     )
     def test_non_finite_field_rejected(self, cls, base, field, value):
         # NaN fails every ordering test, so "x < 0" checks alone let it through

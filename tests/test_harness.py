@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -9,12 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fiberloop
 from fiberloop import buffer as buf
 from fiberloop import cli
+from fiberloop import counting as cnt
 from fiberloop import tomography as tomo
 from fiberloop.harness import (
+    DIVIDER_SHORT_LOOP,
+    DIVIDER_UNIT_LOOP,
     GHOST_SURVIVAL_FLOOR,
     PAPER_2023,
     Scenario,
@@ -359,3 +365,268 @@ def test_runs_without_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def divider_scenario() -> Scenario:
+    topology = buf.BufferTopology(
+        buf.TopologyVariant.MULTIPLIER_DIVIDER,
+        divider_paths=(DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP),
+    )
+    return quiet_scenario(name="div", loop=DIVIDER_UNIT_LOOP, n_trips=2, topology=topology)
+
+
+def write_scenario(tmp_path: Path, payload: dict) -> Path:
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def replaced(payload: dict, path: tuple, value) -> dict:
+    """A deep copy of ``payload`` with the entry at ``path`` set to ``value``."""
+    payload = copy.deepcopy(payload)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+class TestMalformedScenario:
+    """Every malformed file is a ScenarioError (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("loop", "length_m"), -1.0),
+            (("loop", "attenuation_db_per_km"), math.nan),
+            (("n_trips",), "2"),
+            (("n_trips",), 2.0),
+            (("n_trips",), True),
+            (("loop", "length_m"), True),
+            (("counting", "pair_rate"), None),
+            (("noise_profile",), []),
+            (("noise",), [1.0]),
+            (("loop",), 5400.0),
+            (("topology", "variant"), "LOOP_PORTS_9_9"),
+            (("topology", "variant"), ["LOOP_PORTS_2_4"]),
+            (("topology", "divider_paths"), 5),
+            (("topology", "divider_paths"), [5]),
+            (("seed",), 1.5),
+            (("expect_leak",), 0),
+            (("name",), 7),
+            (("switch", "loss_cross_db"), 10**400),
+            (("schema_version",), "2"),
+            (("schema_version",), True),
+        ],
+    )
+    def test_scenario_error_and_exit_code(self, tmp_path, path, value):
+        payload = replaced(scenario_to_dict(quiet_scenario()), path, value)
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(payload)
+        assert cli.main(["run", str(write_scenario(tmp_path, payload))]) == 2
+
+    def test_validator_error_names_section(self):
+        payload = replaced(scenario_to_dict(quiet_scenario()), ("loop", "length_m"), -1.0)
+        with pytest.raises(ScenarioError, match=r"scenario\.loop: loop length"):
+            scenario_from_dict(payload)
+
+    def test_divider_path_error_names_item(self):
+        payload = replaced(
+            scenario_to_dict(divider_scenario()), ("topology", "divider_paths", 1, "length_m"), "1"
+        )
+        with pytest.raises(ScenarioError, match=r"divider_paths\[1\]\.length_m"):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[], "scenario", None])
+    def test_non_object_file(self, payload):
+        with pytest.raises(ScenarioError, match="expected an object"):
+            scenario_from_dict(payload)
+
+    def test_missing_field(self):
+        payload = scenario_to_dict(quiet_scenario())
+        del payload["loop"]["length_m"]
+        with pytest.raises(ScenarioError, match="length_m"):
+            scenario_from_dict(payload)
+
+    def test_integer_float_field_loads_as_float(self):
+        payload = replaced(scenario_to_dict(quiet_scenario()), ("loop", "length_m"), 5400)
+        assert type(scenario_from_dict(payload).loop.length_m) is float
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def entry_paths(node, prefix=()):
+    """Paths of every entry of a JSON tree, sections and their items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from entry_paths(value, prefix + (key,))
+
+
+BASES = [
+    scenario_to_dict(quiet_scenario()),
+    scenario_to_dict(quiet_scenario(name="leaky", loop=buf.FiberLoop(1850.0), n_trips=2)),
+    scenario_to_dict(divider_scenario()),
+]
+MUTATION_SITES = [(i, path) for i, base in enumerate(BASES) for path in entry_paths(base)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), value=JSON_VALUES)
+@example(site=(1, ("loop", "attenuation_db_per_km")), value=1e308)  # leak at an infinite loss
+def test_any_json_field_gives_finite_result_or_scenario_error(site, value):
+    base, path = site
+    try:
+        scenario = scenario_from_dict(replaced(BASES[base], path, value))
+        result = run_scenario(scenario)
+    except ScenarioError:
+        return
+    numbers = [result.buffer_time, result.insertion_loss_db, result.survival,
+               result.state_fidelity, result.process_fidelity, result.purity,
+               *(result.chi_diagonal or ())]
+    assert all(math.isfinite(v) for v in numbers if v is not None), result
+
+
+class TestTripCap:
+    def test_over_the_cap_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match="1000"):
+            run_scenario(quiet_scenario(n_trips=buf.MAX_TRIPS + 1))
+
+    def test_at_the_cap_runs(self):
+        # lossless 100 m loop and switch: 1000 trips still leave counts to fit
+        scenario = quiet_scenario(
+            loop=buf.FiberLoop(100.0, attenuation_db_per_km=0.0),
+            switch=buf.SwitchSpec(loss_cross_db=0.0, loss_straight_db=0.0),
+            n_trips=buf.MAX_TRIPS,
+        )
+        result = run_scenario(scenario)
+        assert result.timeline.round_trips == buf.MAX_TRIPS
+        assert result.state_fidelity >= 0.999
+
+
+class TestScenarioName:
+    @pytest.mark.parametrize(
+        "name", ["../../escaped", "a/b", "a\\b", ".", "..", "", "a" * 300, "\u00e9" * 128]
+    )
+    def test_rejected_everywhere(self, tmp_path, name):
+        with pytest.raises(ScenarioError, match="name"):
+            quiet_scenario(name=name)
+        payload = replaced(scenario_to_dict(quiet_scenario()), ("name",), name)
+        with pytest.raises(ScenarioError, match="name"):
+            scenario_from_dict(payload)
+        out = tmp_path / "deep" / "out"
+        path = write_scenario(tmp_path, payload)
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["s.json"]  # nothing written
+
+    def test_longest_name_still_runs(self, tmp_path):
+        result = run_scenario(quiet_scenario(name="a" * 255), out_dir=tmp_path)
+        assert Path(result.artifacts["metrics"]).parent.name == "a" * 255
+
+
+class TestSchemaVersions:
+    @pytest.mark.parametrize("with_dropped_keys", [False, True])
+    def test_v1_file_loads_to_equal_scenario(self, with_dropped_keys):
+        for scenario in (quiet_scenario(noise=PAPER_2023.to_noise(7.0)), divider_scenario()):
+            payload = scenario_to_dict(scenario)
+            payload["schema_version"] = 1
+            if with_dropped_keys:
+                payload["topology"]["selector_rate_hz"] = 1.0
+                payload["counting"]["detector_gate_rate_hz"] = 50e6
+            assert scenario_from_dict(payload) == scenario
+
+    @pytest.mark.parametrize(
+        "section, key", [("topology", "selector_rate_hz"), ("counting", "detector_gate_rate_hz")]
+    )
+    def test_v2_rejects_dropped_keys(self, section, key):
+        payload = scenario_to_dict(quiet_scenario())
+        payload[section][key] = 1.0
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["pair_rate", "signal_arm_loss_db", "integration_time"])
+    def test_counting_field_rejected_at_top_level(self, key):
+        payload = scenario_to_dict(quiet_scenario())
+        del payload["counting"][key]
+        payload[key] = 1.0
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(payload)
+
+    def test_v2_roundtrip_divider_topology(self):
+        s = divider_scenario()
+        payload = scenario_to_dict(s)
+        assert payload["schema_version"] == 2
+        assert json.loads(json.dumps(payload)) == payload
+        assert scenario_from_dict(payload) == s
+
+    @pytest.mark.parametrize(
+        "section",
+        [(), ("loop",), ("topology",), ("switch",), ("noise",), ("counting",),
+         ("topology", "divider_paths", 0)],
+    )
+    def test_unknown_key_rejected_in_every_section(self, section):
+        payload = scenario_to_dict(divider_scenario())
+        node = payload
+        for key in section:
+            node = node[key]
+        node["typo_key"] = 1.0
+        with pytest.raises(ScenarioError, match="typo_key"):
+            scenario_from_dict(payload)
+
+
+class TestRunIds:
+    def test_counts_scale_gets_its_own_directory(self, tmp_path):
+        a = run_scenario(quiet_scenario(), counts_scale=1.0, out_dir=tmp_path)
+        b = run_scenario(quiet_scenario(), counts_scale=4.0, out_dir=tmp_path)
+        assert Path(a.artifacts["dataset"]).parent != Path(b.artifacts["dataset"]).parent
+        assert len(list(tmp_path.rglob("dataset.csv"))) == 2
+
+    def test_exact_counts_suites_do_not_collide(self, tmp_path):
+        for exact in (True, False):
+            run_table1_suite(seed=3, exact_counts=exact, out_dir=tmp_path)
+            run_divider_suite(seed=3, exact_counts=exact, out_dir=tmp_path)
+        assert len(list(tmp_path.glob("table1-*/comparison.csv"))) == 2
+        assert len(list(tmp_path.glob("divider-*/divider_summary.json"))) == 2
+        assert len(list(tmp_path.glob("table1-*/*/dataset.csv"))) == 14
+        assert len(list(tmp_path.glob("divider-*/*/dataset.csv"))) == 6
+
+    def test_table1_rows_under_suite_directory(self, tmp_path):
+        results, _ = run_table1_suite(seed=3, exact_counts=True, out_dir=tmp_path)
+        (suite,) = tmp_path.iterdir()
+        assert suite.name.startswith("table1-")
+        for r in results:
+            assert Path(r.artifacts["metrics"]).parent == suite / r.scenario_name
+
+    def test_sweep_rows_under_one_directory(self, tmp_path):
+        run_sweep(quiet_scenario(), "noise.cross_phase_flip", [0.0, 0.05], out_dir=tmp_path)
+        (suite,) = tmp_path.iterdir()
+        assert suite.name.startswith("sweep-")
+        assert len(list(suite.glob("*/metrics.json"))) == 2
+
+
+def test_ghost_row_writes_timeline_and_run_result_only(tmp_path):
+    results = run_divider_suite(seed=2, exact_counts=True, out_dir=tmp_path)
+    (ghost,) = [r for r in results if r.ghost]
+    assert set(ghost.artifacts) == {"timeline"}
+    row = Path(ghost.artifacts["timeline"]).parent
+    assert sorted(p.name for p in row.iterdir()) == ["run_result.json", "timeline.json"]
+    saved = json.loads((row / "run_result.json").read_text())
+    assert saved["ghost"] and saved["negligible_counts"] and saved["F"] is None
+
+
+def test_pipeline_reproduces_reference_datasets(tmp_path):
+    """The committed MLE corpus holds the table1 datasets of seeds 0-9; the
+    pipeline must still draw exactly those counts."""
+    reference = json.loads((Path(__file__).parent / "data" / "mle_reference.json").read_text())
+    expected = {e["label"]: e["net_counts"] for e in reference["datasets"]}
+    for seed in range(10):
+        for s in table1_scenarios(seed=seed):
+            result = run_scenario(s, out_dir=tmp_path / str(seed))
+            records, _ = cnt.read_dataset_csv(result.artifacts["dataset"])
+            assert [r.net for r in records] == expected[f"table1-seed{seed}-{s.name}"]

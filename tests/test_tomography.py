@@ -206,6 +206,17 @@ class TestReferenceCorpus:
         assert flux_profiled_nll(counts, m) <= entry["nll"] + 1e-3
         assert likelihood_gap(counts, m) <= cfg.convergence_tol
 
+    def test_certificates_share_one_mode(self):
+        """Every fit ends just re-centered, where its certificate is
+        mu (4 - 1 / lambda_max); fits that stopped part-way through
+        re-centering sat in a second mode twice as high."""
+        gaps = []
+        for entry in REFERENCE:
+            counts = np.array(entry["net_counts"], dtype=float)
+            recs = [CountRecord(i, int(n), 0, 1.0) for i, n in enumerate(counts)]
+            gaps.append(likelihood_gap(counts, reconstruct_state(recs, SETTINGS).matrix))
+        assert max(gaps) <= 1.1 * min(gaps)
+
     def test_corpus_covers_the_regimes(self):
         labels = [e["label"] for e in REFERENCE]
         assert len(labels) >= 100
@@ -213,6 +224,24 @@ class TestReferenceCorpus:
         assert sum(label.startswith("long-storage-") for label in labels) == 34
         assert sum(label.startswith("bell-500pps-") for label in labels) == 5
         assert any(0 in e["net_counts"] for e in REFERENCE)
+
+
+def test_large_counts_certify_to_the_rounding_floor(tmp_path):
+    """At 1e5 times the table counts (2e10 net counts) the certificate's own
+    rounding, a few N eps, is above the 1e-6-nat tolerance; the fit certifies
+    to 64 N eps instead of raising MleConvergenceError."""
+    from fiberloop import harness
+    from fiberloop.counting import read_dataset_csv
+
+    scenario = harness.table1_scenarios(seed=2)[0]
+    assert scenario.name == "N1-L5.4km"
+    harness.run_scenario(scenario, counts_scale=1e5, out_dir=tmp_path)
+    (path,) = tmp_path.rglob("dataset.csv")
+    recs, settings = read_dataset_csv(path)
+    counts = np.array([float(r.net) for r in recs])
+    assert counts.sum() > 1e10
+    rho = reconstruct_state(recs, settings)
+    assert likelihood_gap(counts, rho.matrix) <= 64 * np.finfo(float).eps * counts.sum()
 
 
 class TestReconstructChi:
