@@ -511,28 +511,13 @@ def divider_schedule(
         per_trip = (
             path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db
         )
-        main = _walk_path(
-            0.0,
-            rt,
-            pattern,
-            per_trip,
-            switch.loss_straight_db,
-            switch.loss_cross_db,
-            EventKind.RETRIEVE,
-        )
+        walk = (rt, pattern, per_trip, switch.loss_straight_db, switch.loss_cross_db)
+        main = _walk_path(0.0, *walk, EventKind.RETRIEVE)
         out.append((path, main))
         if rt < pattern.on_duration and round(ratio) >= 2:
             # photons entering in the last fraction of the ON window return
             # after it closed and stay trapped until the next ON transition
-            ghost = _walk_path(
-                pattern.on_duration - rt / 2.0,
-                rt,
-                pattern,
-                per_trip,
-                switch.loss_straight_db,
-                switch.loss_cross_db,
-                EventKind.GHOST_EXIT,
-            )
+            ghost = _walk_path(pattern.on_duration - rt / 2.0, *walk, EventKind.GHOST_EXIT)
             if ghost.round_trips != main.round_trips:
                 out.append((path, ghost))
     return out

@@ -130,26 +130,10 @@ def _projector_stack(settings: tuple[AnalyzerSetting, ...]) -> np.ndarray:
     return stack
 
 
-def joint_projectors(
-    settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray],
-) -> np.ndarray:
-    """Stack of 4x4 joint projectors, one per setting.
-
-    For analyzer settings the stack is built once per settings tuple and
-    shared read-only; raw 4x4 arrays are stacked afresh on every call.
-    """
-    if all(isinstance(s, AnalyzerSetting) for s in settings):
-        return _projector_stack(tuple(settings))
-    stack = []
-    for s in settings:
-        if isinstance(s, AnalyzerSetting):
-            stack.append(s.joint_projector())
-        else:
-            arr = np.asarray(s, dtype=complex)
-            if arr.shape != (4, 4):
-                raise ValueError("joint projectors must be 4x4")
-            stack.append(arr)
-    return np.array(stack)
+def joint_projectors(settings: Sequence[AnalyzerSetting]) -> np.ndarray:
+    """Stack of 4x4 joint projectors, one per setting, built once per
+    settings tuple and shared read-only."""
+    return _projector_stack(tuple(settings))
 
 
 @dataclass(frozen=True)
@@ -225,12 +209,14 @@ def _setting_means(
         raise ValueError("integration time must be positive")
     if settings is None:
         settings = standard_16_settings()
-    means = []
-    for idx, proj in enumerate(joint_projectors(settings)):
-        rate = expected_coincidence_rate(rho, proj, cfg)
-        means.append((idx, (rate + cfg.accidental_rate) * integration_time,
-                      cfg.accidental_rate * integration_time))
-    return means
+    # expected_coincidence_rate's float expressions, for all settings at once
+    p = np.maximum(np.trace(joint_projectors(settings) @ rho.matrix, axis1=1, axis2=2).real, 0)
+    s_s, s_i = loss_to_survival(cfg.signal_arm_loss_db), loss_to_survival(cfg.idler_arm_loss_db)
+    ac_mean = cfg.accidental_rate * integration_time
+    return [
+        (idx, (cfg.pair_rate * s_s * s_i * p_j + cfg.accidental_rate) * integration_time, ac_mean)
+        for idx, p_j in enumerate(p.tolist())
+    ]
 
 
 def simulate_dataset(

@@ -11,10 +11,11 @@ Every entry point (one scenario, the table1 and divider suites, a sweep)
 runs these steps through ``evaluate``.  Results are written under
 ``<out>/<run-id>/<scenario>/`` as dataset.csv, rho.json, chi.json,
 metrics.json, timeline.json, and run_result.json (only the last two for a
-photon that leaked or ghost-exited).  The run id hashes ``counts_scale`` and
-every scenario the run writes, never the wall clock, so repeated runs are
-byte identical and different runs never share a directory; a suite prefixes
-the hash with its kind.
+photon that leaked or ghost-exited).  run_result.json holds the summary
+scores and the paths of its sibling files; it does not repeat the timeline.
+The run id hashes ``counts_scale`` and every scenario the run writes, never
+the wall clock, so repeated runs are byte identical and different runs never
+share a directory; a suite prefixes the hash with its kind.
 
 The default decoherence calibration, profile ``paper-2023``, is anchored to
 two measured operating points of the modeled device: the 2 m traveling
@@ -48,6 +49,7 @@ __all__ = [
     "PAPER_2023",
     "NOISE_PROFILES",
     "Scenario",
+    "Fit",
     "RunResult",
     "TABLE1_ROWS",
     "evaluate",
@@ -68,6 +70,9 @@ SCHEMA_VERSION = 2
 # photon survival drops below this floor (the reference-geometry ghost, five
 # trips through the 1 km path, sits at 0.19).
 GHOST_SURVIVAL_FLOOR = 0.25
+
+# Accidental-coincidence background (1/s) of the table1 and divider suites.
+SUITE_ACCIDENTAL_RATE = 100.0
 
 
 class ScenarioError(ValueError):
@@ -143,6 +148,17 @@ class Scenario:
 
 
 @dataclass(frozen=True)
+class Fit:
+    """What a retrieved photon's run writes besides its timeline."""
+
+    records: Sequence[cnt.CountRecord]
+    settings: tuple[cnt.AnalyzerSetting, ...]
+    rho: qstate.TwoQubitState
+    chi: qstate.ChiMatrix
+    metrics: tomo.MetricsRecord
+
+
+@dataclass(frozen=True)
 class RunResult:
     """Everything one scenario run produced."""
 
@@ -183,7 +199,6 @@ class RunResult:
             "F_chi": self.process_fidelity,
             "purity": self.purity,
             "chi_diag": list(self.chi_diagonal) if self.chi_diagonal else None,
-            "timeline": _to_json(self.timeline),
             "artifacts": dict(sorted(self.artifacts.items())),
         }
 
@@ -204,8 +219,7 @@ def evaluate(
     """
     with _scenario_context(scenario.name):
         survival = buf.loss_to_survival(timeline.final_loss_db)
-        fit: dict[str, Any] = {}
-        scores: dict[str, Any] = {}
+        fit = None
         if timeline.retrieved:
             channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
             state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
@@ -221,14 +235,7 @@ def evaluate(
             records = draw(state, cfg, scenario.integration_time * counts_scale, settings)
             rho = tomo.reconstruct_state(records, settings)
             chi = tomo.reconstruct_chi(rho)
-            metrics = tomo.report_metrics(rho, chi)
-            fit = dict(records=records, settings=settings, rho=rho, chi=chi, metrics=metrics)
-            scores = dict(
-                state_fidelity=metrics.state_fidelity,
-                process_fidelity=metrics.process_fidelity,
-                purity=metrics.purity,
-                chi_diagonal=metrics.chi_diagonal,
-            )
+            fit = Fit(records, settings, rho, chi, tomo.report_metrics(rho, chi))
         result = RunResult(
             scenario_name=scenario.name,
             buffer_time=timeline.total_buffer_time,
@@ -238,11 +245,12 @@ def evaluate(
             leaked=timeline.leaked,
             ghost=timeline.ghosted,
             negligible_counts=timeline.ghosted and survival < GHOST_SURVIVAL_FLOOR,
-            **scores,
+            # the fields of MetricsRecord are RunResult's scores
+            **(vars(fit.metrics) if fit else {}),
         )
         if out_dir is not None:
             run_id = run_id or _run_id([scenario], counts_scale)
-            result = write_run_result(result, scenario, out_dir, run_id=run_id, **fit)
+            result = write_run_result(result, scenario, out_dir, run_id, fit)
     return result
 
 
@@ -291,32 +299,25 @@ def write_run_result(
     result: RunResult,
     scenario: Scenario,
     out_dir: str | Path,
-    run_id: str | None = None,
-    records: Sequence[cnt.CountRecord] | None = None,
-    settings: Sequence[cnt.AnalyzerSetting] | None = None,
-    rho: qstate.TwoQubitState | None = None,
-    chi: qstate.ChiMatrix | None = None,
-    metrics: tomo.MetricsRecord | None = None,
+    run_id: str,
+    fit: Fit | None = None,
 ) -> RunResult:
-    """Persist one result under <out>/<run-id>/<scenario>/ and record paths;
-    ``run_id`` defaults to the id of a lone run at ``counts_scale`` 1."""
-    base = Path(out_dir) / (run_id or _run_id([scenario], 1.0)) / scenario.name
+    """Persist one result under <out>/<run-id>/<scenario>/; run_result.json
+    holds the scores and the paths of the files written beside it."""
+    base = Path(out_dir) / run_id / scenario.name
     base.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, str] = {}
     _json_dump(base / "timeline.json", _to_json(result.timeline))
-    artifacts["timeline"] = str(base / "timeline.json")
-    if records is not None and settings is not None:
-        cnt.write_dataset_csv(base / "dataset.csv", records, settings)
+    artifacts = {"timeline": str(base / "timeline.json")}
+    if fit is not None:
+        cnt.write_dataset_csv(base / "dataset.csv", fit.records, fit.settings)
         artifacts["dataset"] = str(base / "dataset.csv")
-    if rho is not None:
-        _json_dump(base / "rho.json", qstate.matrix_to_json(rho.matrix))
-        artifacts["rho"] = str(base / "rho.json")
-    if chi is not None:
-        _json_dump(base / "chi.json", qstate.matrix_to_json(chi.matrix))
-        artifacts["chi"] = str(base / "chi.json")
-    if metrics is not None:
-        _json_dump(base / "metrics.json", metrics.to_json())
-        artifacts["metrics"] = str(base / "metrics.json")
+        for name, payload in (
+            ("rho", qstate.matrix_to_json(fit.rho.matrix)),
+            ("chi", qstate.matrix_to_json(fit.chi.matrix)),
+            ("metrics", fit.metrics.to_json()),
+        ):
+            _json_dump(base / f"{name}.json", payload)
+            artifacts[name] = str(base / f"{name}.json")
     result = replace(result, artifacts=artifacts)
     _json_dump(base / "run_result.json", result.to_json())
     return result
@@ -358,7 +359,6 @@ LOSS_TOLERANCE_DB = 0.01
 def table1_scenarios(
     seed: int = 0,
     profile: NoiseProfile = PAPER_2023,
-    accidental_rate: float = 100.0,
     pair_rate: float = 50e3,
     exact_counts: bool = False,
 ) -> list[Scenario]:
@@ -372,7 +372,7 @@ def table1_scenarios(
                 n_trips=row.n_trips,
                 topology=buf.BufferTopology(row.variant),
                 switch=buf.SwitchSpec(v_pi_calibrated=(row.variant is _V23)),
-                noise=profile.to_noise(accidental_rate),
+                noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
                 pair_rate=pair_rate,
                 seed=seed * 1000 + i,
                 exact_counts=exact_counts,
@@ -439,8 +439,6 @@ def run_divider_suite(
     counts_scale: float = 1.0,
     out_dir: str | Path | None = None,
     profile: NoiseProfile = PAPER_2023,
-    pair_rate: float = 50e3,
-    accidental_rate: float = 100.0,
     exact_counts: bool = False,
 ) -> list[RunResult]:
     """Bypass, divided, and doubled delays plus the ghost recirculation."""
@@ -463,8 +461,7 @@ def run_divider_suite(
             n_trips=max(timeline.round_trips, 1),
             topology=topo,
             switch=switch,
-            noise=profile.to_noise(accidental_rate),
-            pair_rate=pair_rate,
+            noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
             seed=seed * 1000 + i,
             exact_counts=exact_counts,
         )
@@ -604,6 +601,6 @@ def scenario_from_dict(payload: Any) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"{path}: invalid JSON ({err})") from err
+    except (OSError, ValueError) as err:  # missing, a directory, not UTF-8, not JSON
+        raise ScenarioError(f"{path}: cannot read a scenario ({err})") from err
     return scenario_from_dict(payload)

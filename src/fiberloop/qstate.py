@@ -38,7 +38,6 @@ __all__ = [
     "identity_chi",
     "state_fidelity",
     "process_fidelity",
-    "purity",
     "concurrence",
     "identity_channel",
     "bit_flip_channel",
@@ -170,10 +169,6 @@ def bell_ket() -> np.ndarray:
 def bell_state() -> TwoQubitState:
     v = bell_ket()
     return TwoQubitState(np.outer(v, v.conj()))
-
-
-def purity(state: TwoQubitState) -> float:
-    return state.purity
 
 
 def state_fidelity(rho: TwoQubitState, target: TwoQubitState) -> float:

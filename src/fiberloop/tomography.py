@@ -149,7 +149,9 @@ class _Design:
     s_inv_half: np.ndarray
 
 
-def _build_design(projectors: np.ndarray) -> _Design:
+@functools.lru_cache(maxsize=32)
+def _design(settings: tuple[AnalyzerSetting, ...]) -> _Design:
+    projectors = cnt.joint_projectors(settings)
     if _design_condition(projectors) > _MAX_DESIGN_CONDITION:
         raise IncompleteSettingsError(
             "settings are not tomographically complete (singular design matrix)"
@@ -166,17 +168,6 @@ def _build_design(projectors: np.ndarray) -> _Design:
     for arr in vars(design).values():
         arr.flags.writeable = False
     return design
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_design(settings: tuple[AnalyzerSetting, ...]) -> _Design:
-    return _build_design(cnt.joint_projectors(settings))
-
-
-def _design(settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray]) -> _Design:
-    if all(isinstance(s, AnalyzerSetting) for s in settings):
-        return _cached_design(tuple(settings))
-    return _build_design(cnt.joint_projectors(settings))
 
 
 def _nll_and_grad(
@@ -266,13 +257,15 @@ def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
 
 def reconstruct_state(
     records: Sequence[CountRecord],
-    settings: Sequence[AnalyzerSetting] | Sequence[np.ndarray],
+    settings: Sequence[AnalyzerSetting],
     cfg: MleConfig = MleConfig(),
 ) -> TwoQubitState:
     """Maximum-likelihood density matrix from net coincidence counts.
 
-    The returned state is certified to lie within ``cfg.convergence_tol``
-    nats (or 64 N eps for N net counts, if larger) of the maximum likelihood.
+    ``settings`` are the records' analyzer settings; the fit's design is
+    cached per settings tuple.  The returned state is certified to lie within
+    ``cfg.convergence_tol`` nats (or 64 N eps for N net counts, if larger) of
+    the maximum likelihood.
     """
     if len(records) != len(settings):
         raise ValueError("need one setting per count record")
@@ -280,7 +273,7 @@ def reconstruct_state(
         raise IncompleteSettingsError(
             f"need at least 16 settings, got {len(records)}"
         )
-    design = _design(settings)
+    design = _design(tuple(settings))
     counts = np.array([float(r.net) for r in records])
     if counts.sum() <= 0:
         raise InsufficientDataError("all net counts are zero")

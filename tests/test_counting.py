@@ -20,6 +20,8 @@ from fiberloop.counting import (
     simulate_dataset,
     standard_16_settings,
     write_dataset_csv,
+    _setting_means,
+    _setting_rng,
 )
 from fiberloop.qstate import PAULIS, TwoQubitState, bell_state
 
@@ -215,24 +217,39 @@ class TestJointProjectors:
             stack, [s.joint_projector() for s in standard_16_settings()]
         )
 
-    def test_raw_arrays_stacked_afresh(self):
-        raw = [s.joint_projector() for s in standard_16_settings()]
-        stack = joint_projectors(raw)
-        assert stack is not joint_projectors(raw)
-        np.testing.assert_array_equal(stack, joint_projectors(standard_16_settings()))
-
-    def test_raw_shape_checked(self):
-        with pytest.raises(ValueError, match="4x4"):
-            joint_projectors([np.eye(2)] * 16)
-
-    def test_datasets_match_per_setting_rates(self):
-        # the shared stack must give the counts of the per-setting projectors
-        cfg = CountingConfig(pair_rate=3e4, accidental_rate=40.0, rng_seed=5)
-        rho = TwoQubitState(0.9 * bell_state().matrix + 0.1 * np.eye(4) / 4)
-        recs = expected_dataset(rho, cfg, 2.0)
-        for rec, s in zip(recs, standard_16_settings()):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 4]),
+        st.floats(0.0, 40.0),
+        st.floats(0.0, 40.0),
+        st.floats(0.0, 1e3),
+        st.floats(0.01, 10.0),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_datasets_match_per_setting_rates(
+        self, state_seed, rank, loss_s, loss_i, accidental, t, seed
+    ):
+        # the batched rates must give, record for record, the datasets of a
+        # reference built one setting at a time
+        rng = np.random.Generator(np.random.Philox(state_seed))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = TwoQubitState(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        cfg = CountingConfig(
+            pair_rate=3e4, signal_arm_loss_db=loss_s, idler_arm_loss_db=loss_i,
+            accidental_rate=accidental, rng_seed=seed,
+        )
+        means, exact, drawn = [], [], []
+        for idx, s in enumerate(standard_16_settings()):
             rate = expected_coincidence_rate(rho, s.joint_projector(), cfg)
-            assert rec.coincidences == round((rate + 40.0) * 2.0)
+            cc, ac = (rate + accidental) * t, accidental * t
+            means.append((idx, cc, ac))
+            exact.append(CountRecord(idx, round(cc), round(ac), t))
+            draw = _setting_rng(seed, idx)
+            drawn.append(CountRecord(idx, int(draw.poisson(cc)), int(draw.poisson(ac)), t))
+        assert _setting_means(rho, cfg, t, None) == means  # bit for bit
+        assert expected_dataset(rho, cfg, t) == exact
+        assert simulate_dataset(rho, cfg, t) == drawn
 
 
 class TestCountRecord:

@@ -237,6 +237,17 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_names_its_path(self, tmp_path, kind):
+        # these used to escape as FileNotFoundError, IsADirectoryError and
+        # UnicodeDecodeError
+        path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+                "not-utf8": tmp_path / "binary.json"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ScenarioError, match=re.escape(str(path))):
+            load_scenario(path)
+
 
 class TestSweep:
     def test_sweep_over_phase_flip(self):
@@ -294,10 +305,18 @@ class TestCli:
         assert csv["1"] != csv["99"]
         assert csv["none"] == csv["5"]
 
-    def test_bad_scenario_exit_code(self, tmp_path):
+    def test_bad_scenario_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{}")
         assert cli.main(["run", str(path)]) == 2
+        # a missing file, a directory and a file that is not UTF-8
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        for bad in (tmp_path / "missing.json", tmp_path, binary):
+            capsys.readouterr()
+            assert cli.main(["run", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bad) in err
 
     def test_seed_flag_overrides_scenario(self, tmp_path, capsys):
         scenario = quiet_scenario(exact_counts=False, pair_rate=5e4)
@@ -630,3 +649,24 @@ def test_pipeline_reproduces_reference_datasets(tmp_path):
             result = run_scenario(s, out_dir=tmp_path / str(seed))
             records, _ = cnt.read_dataset_csv(result.artifacts["dataset"])
             assert [r.net for r in records] == expected[f"table1-seed{seed}-{s.name}"]
+
+
+def test_table1_metrics_are_the_standing_invariant(tmp_path):
+    """run_table1_suite(seed=42) must write the committed metrics.json payloads;
+    a row's run_result.json names its sibling files and holds no timeline."""
+    reference = json.loads(
+        (Path(__file__).parent / "data" / "table1_seed42_metrics.json").read_text()
+    )
+    results, _ = run_table1_suite(seed=42, out_dir=tmp_path)
+    assert sorted(r.scenario_name for r in results) == sorted(reference)
+    for r in results:
+        saved = json.loads(Path(r.artifacts["metrics"]).read_text())
+        expected = reference[r.scenario_name]
+        assert set(saved) == set(expected)
+        for key, value in expected.items():
+            assert saved[key] == pytest.approx(value, rel=0, abs=1e-10), (r.scenario_name, key)
+    row = Path(results[0].artifacts["timeline"]).parent
+    summary = json.loads((row / "run_result.json").read_text())
+    assert "timeline" not in summary
+    assert set(summary["artifacts"]) == {"timeline", "dataset", "rho", "chi", "metrics"}
+    assert all(Path(path).is_file() for path in summary["artifacts"].values())
