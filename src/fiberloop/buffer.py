@@ -364,16 +364,14 @@ def insertion_loss_db(
     n_trips: int,
     loop: FiberLoop,
     switch: SwitchSpec = SwitchSpec(),
-    extra_switch_losses_db: tuple[float, ...] = (),
 ) -> float:
-    """Loss budget: 2 cross passes + (N-1) straight passes + fiber + extras."""
+    """Loss budget: 2 cross passes + (N-1) straight passes + fiber."""
     _check_trips(n_trips)
     fiber = loop.attenuation_db_per_km * n_trips * loop.length_km
     return (
         2.0 * switch.loss_cross_db
         + (n_trips - 1) * switch.loss_straight_db
         + fiber
-        + sum(extra_switch_losses_db)
     )
 
 
@@ -427,52 +425,49 @@ def simulate_timeline(
             "ON duration longer than one round trip would release the photon early"
         )
     _check_drive(pattern, switch)
+    _check_trips(pattern.n_trips)
 
-    n = pattern.n_trips
     fiber_db = loop.attenuation_db_per_km * loop.length_km
-    events = [TimelineEvent(0.0, EventKind.INJECT, switch.loss_cross_db)]
-    loss = switch.loss_cross_db
-
     rate = pattern.repetition_rate_hz
     over_threshold = rate > topo.leak_threshold_hz * (1.0 + LEAK_RATE_GUARD)
     if over_threshold and topo.leak_fraction >= 1.0:
-        loss += fiber_db + switch.loss_straight_db
-        events.append(TimelineEvent(rt, EventKind.LEAK, loss))
-        return PhotonTimeline(tuple(events), total_buffer_time=rt, round_trips=1)
+        inject = TimelineEvent(0.0, EventKind.INJECT, switch.loss_cross_db)
+        loss = switch.loss_cross_db + (fiber_db + switch.loss_straight_db)
+        leak = TimelineEvent(rt, EventKind.LEAK, loss)
+        return PhotonTimeline((inject, leak), total_buffer_time=rt, round_trips=1)
     bleed_db = (
         -10.0 * math.log10(1.0 - topo.leak_fraction) if over_threshold else 0.0
     )
-
-    for k in range(1, n):
-        loss += fiber_db + switch.loss_straight_db + bleed_db
-        events.append(TimelineEvent(k * rt, EventKind.RECIRCULATE, loss))
-    loss += fiber_db + switch.loss_cross_db
-    events.append(TimelineEvent(n * rt, EventKind.RETRIEVE, loss))
-    return PhotonTimeline(tuple(events), total_buffer_time=n * rt, round_trips=n)
+    straight_db = switch.loss_straight_db + bleed_db
+    return _walk_path(rt, (1, 1), pattern, fiber_db, straight_db, switch.loss_cross_db)
 
 
 def _walk_path(
-    t_inject: float,
     rt: float,
+    slots: tuple[int, int],
     pattern: RfPattern,
     per_trip_db: float,
     straight_db: float,
     cross_db: float,
-    exit_kind: EventKind,
-    max_trips: int = MAX_TRIPS,
+    ghost: bool = False,
 ) -> PhotonTimeline:
-    """Arrival-by-arrival walk of one divider path until an ON window exit."""
-    frame = pattern.on_duration + pattern.off_duration
+    """Arrival-by-arrival walk of one photon until an ON window lets it out.
+
+    ``slots`` = (a, b): the round trip spans ``a`` slots and the ON window
+    ``b``, so the frame of an N-trip pattern spans N*b.  Exits are decided
+    in exact half-slots: arrival k leaves when (start + 2ka) mod 2Nb < 2b.
+    The photon enters at t=0 (half-slot 0), a ghost half a round trip before
+    the ON window closes (half-slot 2b - a); arrival k comes k*rt later.
+    """
+    a, b = slots
+    t_inject, start = (pattern.on_duration - rt / 2.0, 2 * b - a) if ghost else (0.0, 0)
+    exit_kind = EventKind.GHOST_EXIT if ghost else EventKind.RETRIEVE
+    frame = 2 * pattern.n_trips * b
     events = [TimelineEvent(t_inject, EventKind.INJECT, cross_db)]
     loss = cross_db
-    k = 0
-    while True:
-        k += 1
-        if k > max_trips:
-            raise DividerConfigError("photon never reaches an ON window")
+    for k in range(1, MAX_TRIPS + 1):
         t = t_inject + k * rt
-        phase = math.fmod(t, frame)
-        if phase < pattern.on_duration:
+        if (start + 2 * k * a) % frame < 2 * b:
             loss += per_trip_db + cross_db
             events.append(TimelineEvent(t, exit_kind, loss))
             return PhotonTimeline(
@@ -480,6 +475,7 @@ def _walk_path(
             )
         loss += per_trip_db + straight_db
         events.append(TimelineEvent(t, EventKind.RECIRCULATE, loss))
+    raise DividerConfigError(f"photon reaches no ON window within {MAX_TRIPS} round trips")
 
 
 def divider_schedule(
@@ -502,7 +498,8 @@ def divider_schedule(
     out: list[tuple[FiberLoop, PhotonTimeline]] = []
     for path in topo.divider_paths:
         rt = round_trip_time(path)
-        ratio = pattern.on_duration / rt if rt <= pattern.on_duration else rt / pattern.on_duration
+        shorter = rt <= pattern.on_duration
+        ratio = pattern.on_duration / rt if shorter else rt / pattern.on_duration
         if round(ratio) < 1 or abs(ratio / round(ratio) - 1.0) > _DIVIDER_TOL:
             raise DividerConfigError(
                 f"path round trip {rt:.3e} s incommensurate with the "
@@ -511,13 +508,14 @@ def divider_schedule(
         per_trip = (
             path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db
         )
-        walk = (rt, pattern, per_trip, switch.loss_straight_db, switch.loss_cross_db)
-        main = _walk_path(0.0, *walk, EventKind.RETRIEVE)
+        slots = (1, round(ratio)) if shorter else (round(ratio), 1)
+        walk = (rt, slots, pattern, per_trip, switch.loss_straight_db, switch.loss_cross_db)
+        main = _walk_path(*walk)
         out.append((path, main))
-        if rt < pattern.on_duration and round(ratio) >= 2:
+        if slots[1] >= 2:
             # photons entering in the last fraction of the ON window return
             # after it closed and stay trapped until the next ON transition
-            ghost = _walk_path(pattern.on_duration - rt / 2.0, *walk, EventKind.GHOST_EXIT)
+            ghost = _walk_path(*walk, ghost=True)
             if ghost.round_trips != main.round_trips:
                 out.append((path, ghost))
     return out

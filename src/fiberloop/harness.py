@@ -12,7 +12,7 @@ runs these steps through ``evaluate``.  Results are written under
 ``<out>/<run-id>/<scenario>/`` as dataset.csv, rho.json, chi.json,
 metrics.json, timeline.json, and run_result.json (only the last two for a
 photon that leaked or ghost-exited).  run_result.json holds the summary
-scores and the paths of its sibling files; it does not repeat the timeline.
+scores and the file names of its siblings; it does not repeat the timeline.
 The run id hashes ``counts_scale`` and every scenario the run writes, never
 the wall clock, so repeated runs are byte identical and different runs never
 share a directory; a suite prefixes the hash with its kind.
@@ -199,7 +199,8 @@ class RunResult:
             "F_chi": self.process_fidelity,
             "purity": self.purity,
             "chi_diag": list(self.chi_diagonal) if self.chi_diagonal else None,
-            "artifacts": dict(sorted(self.artifacts.items())),
+            # sibling file names, so the file reads the same wherever --out is
+            "artifacts": {k: Path(v).name for k, v in sorted(self.artifacts.items())},
         }
 
 
@@ -303,7 +304,8 @@ def write_run_result(
     fit: Fit | None = None,
 ) -> RunResult:
     """Persist one result under <out>/<run-id>/<scenario>/; run_result.json
-    holds the scores and the paths of the files written beside it."""
+    holds the scores and the names of the files written beside it (the
+    returned result keeps their full paths)."""
     base = Path(out_dir) / run_id / scenario.name
     base.mkdir(parents=True, exist_ok=True)
     _json_dump(base / "timeline.json", _to_json(result.timeline))

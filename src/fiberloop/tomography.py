@@ -132,8 +132,9 @@ def _inv_sqrt(s: np.ndarray) -> np.ndarray:
 
 
 def _design_condition(projectors: np.ndarray) -> float:
-    gammas = [np.kron(a, b) / 2.0 for a in PAULIS for b in PAULIS]
-    m = np.array([[np.trace(p @ g).real for g in gammas] for p in projectors])
+    # rows: the projectors' coordinates Tr(P_j Q_k); the rank test catches
+    # fewer than 16 independent settings, whose condition number can be finite
+    m = (projectors.reshape(len(projectors), 16) @ _TO_COORDS).real
     if np.linalg.matrix_rank(m) < 16:
         return math.inf
     return float(np.linalg.cond(m))
@@ -269,10 +270,6 @@ def reconstruct_state(
     """
     if len(records) != len(settings):
         raise ValueError("need one setting per count record")
-    if len(records) < 16:
-        raise IncompleteSettingsError(
-            f"need at least 16 settings, got {len(records)}"
-        )
     design = _design(tuple(settings))
     counts = np.array([float(r.net) for r in records])
     if counts.sum() <= 0:

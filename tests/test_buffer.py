@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fiberloop import qstate
 from fiberloop.buffer import (
+    MAX_TRIPS,
     SPEED_OF_LIGHT,
     BufferTopology,
     DividerConfigError,
@@ -128,11 +129,6 @@ class TestInsertionLoss:
         loss = insertion_loss_db(n, FiberLoop(length_m, attenuation_db_per_km=atten))
         assert loss == pytest.approx(expect_db, abs=0.01)
 
-    def test_extra_switch_losses(self):
-        loop = FiberLoop(4000.0, attenuation_db_per_km=0.15)
-        loss = insertion_loss_db(2, loop, extra_switch_losses_db=(0.01,) * 4)
-        assert loss == pytest.approx(4.64, abs=1e-12)
-
 
 class TestLossToSurvival:
     def test_reference_values(self):
@@ -228,6 +224,29 @@ class TestSimulateTimeline:
         expected = insertion_loss_db(2, loop) - 10 * math.log10(0.5)
         assert tl.final_loss_db == pytest.approx(expected, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, MAX_TRIPS),
+        st.floats(1.0, 1e5, allow_nan=False, allow_infinity=False),
+    )
+    def test_any_multiple_makes_exactly_n_trips(self, n, length_m):
+        # a switch and threshold that accept any drive, so only the walk decides
+        loop = FiberLoop(length_m)
+        switch = SwitchSpec(rise_fall_time=1e-15, max_rep_rate_hz=1e15)
+        topo = BufferTopology(V24, leak_threshold_hz=1e15)
+        tl = simulate_timeline(rf_pattern_for(n, loop), loop, topo, switch)
+        assert tl.retrieved and tl.round_trips == n
+        assert sum(1 for e in tl.events if e.kind is EventKind.RECIRCULATE) == n - 1
+        assert tl.total_buffer_time == n * round_trip_time(loop)
+
+    def test_pattern_beyond_trip_cap_rejected(self):
+        loop = FiberLoop(3000.0)
+        rt = round_trip_time(loop)
+        with pytest.raises(ValueError, match="round trips"):
+            simulate_timeline(
+                RfPattern(rt, MAX_TRIPS * rt), loop, BufferTopology(V24, leak_threshold_hz=1e9)
+            )
+
     def test_fractional_leak_inert_below_threshold(self):
         loop = FiberLoop(5400.0)
         topo = BufferTopology(V24, leak_fraction=0.5)
@@ -305,6 +324,24 @@ class TestDividerSchedule:
         # 2 cross + 4 straight + 5 km fiber + 10 selector passes
         expected = 2 * 1.2 + 4 * 1.0 + 5 * 0.15 + 10 * 0.01
         assert ghost.final_loss_db == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("unit_m,short_m", [(4000.0, 1000.0), (3000.0, 1000.0)])
+    def test_trip_counts_follow_the_slot_closed_forms(self, unit_m, short_m):
+        # the unit path holds N trips, the short path exits on its first
+        # return, and the ghost waits for the next ON window: (N-1)*r + 1
+        unit = FiberLoop(unit_m, attenuation_db_per_km=0.15)
+        short = FiberLoop(short_m, attenuation_db_per_km=0.15)
+        r = round(unit_m / short_m)
+        topo = BufferTopology(
+            TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(unit, short)
+        )
+        for n in range(1, 61):
+            out = divider_schedule(topo, rf_pattern_for(n, unit))
+            trips = {(p is unit, t.ghosted): t.round_trips for p, t in out}
+            expected = {(True, False): n, (False, False): 1}
+            if n > 1:
+                expected[(False, True)] = (n - 1) * r + 1
+            assert trips == expected, n
 
     def test_incommensurate_path_rejected(self):
         unit = FiberLoop(4000.0)

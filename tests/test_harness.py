@@ -669,4 +669,18 @@ def test_table1_metrics_are_the_standing_invariant(tmp_path):
     summary = json.loads((row / "run_result.json").read_text())
     assert "timeline" not in summary
     assert set(summary["artifacts"]) == {"timeline", "dataset", "rho", "chi", "metrics"}
-    assert all(Path(path).is_file() for path in summary["artifacts"].values())
+    assert all((row / name).is_file() for name in summary["artifacts"].values())
+
+
+def test_artifacts_do_not_depend_on_the_output_path(tmp_path, monkeypatch):
+    """A suite written under a short relative --out and under a long
+    absolute one gives the same bytes in every file, run_result.json too."""
+    monkeypatch.chdir(tmp_path)
+    deep = tmp_path / ("d" * 40) / "nested" / "out"
+    trees = []
+    for out in (Path("o"), deep):
+        run_table1_suite(seed=42, out_dir=out)
+        run_divider_suite(seed=42, out_dir=out)
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) > 30 and trees[0] == trees[1]
+    assert any(p.name == "run_result.json" for p in trees[0])
