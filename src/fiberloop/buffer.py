@@ -32,7 +32,6 @@ __all__ = [
     "SchedulingError",
     "SwitchCapabilityError",
     "NoRetrievalError",
-    "DividerConfigError",
     "TimelineContractError",
     "SwitchSpec",
     "FiberLoop",
@@ -64,12 +63,14 @@ LEAK_RATE_GUARD = 0.01
 # this bounds the work of one scenario.
 MAX_TRIPS = 1000
 
-_PATTERN_TOL = 1e-3  # 0.1% commensurability tolerance for RF patterns
-_DIVIDER_TOL = 1e-2  # 1% commensurability tolerance for divider paths
+# Timing drift the walk may accumulate over one stay, as a fraction of the ON
+# window: exits are decided in whole slots, so the true exit times may slip
+# from the window by no more than this.
+_PATTERN_TOL = 1e-3
 
 
 class SchedulingError(ValueError):
-    """RF pattern incompatible with the loop round-trip time."""
+    """Round trip incommensurate with the RF drive."""
 
 
 class SwitchCapabilityError(ValueError):
@@ -78,10 +79,6 @@ class SwitchCapabilityError(ValueError):
 
 class NoRetrievalError(ValueError):
     """Timeline has no RETRIEVE event to build a channel from."""
-
-
-class DividerConfigError(ValueError):
-    """Divider path round-trip incommensurate with the RF pattern."""
 
 
 class TimelineContractError(ValueError):
@@ -149,33 +146,23 @@ class FiberLoop:
 
 @dataclass(frozen=True)
 class RfPattern:
-    """RF drive: ON for ``on_duration`` (T), OFF for an integer multiple of T."""
+    """RF drive: ON for ``on_duration`` (one round trip T), OFF for (N-1)*T."""
 
     on_duration: float
-    off_duration: float
+    n_trips: int
 
     def __post_init__(self) -> None:
-        if not self.on_duration > 0:
-            raise ValueError("ON duration must be positive")
-        if self.off_duration < 0:
-            raise ValueError("OFF duration must be nonnegative")
-        if self.off_duration > 0:
-            m = self.off_duration / self.on_duration
-            if round(m) < 1 or abs(m / round(m) - 1.0) > _PATTERN_TOL:
-                raise ValueError(
-                    "OFF duration must be an integer multiple of the ON duration"
-                )
+        if not (math.isfinite(self.on_duration) and self.on_duration > 0):
+            raise ValueError(f"on_duration must be finite and positive, got {self.on_duration}")
+        _check_trips(self.n_trips)
+
+    @property
+    def off_duration(self) -> float:
+        return (self.n_trips - 1) * self.on_duration
 
     @property
     def repetition_rate_hz(self) -> float:
         return 1.0 / (self.on_duration + self.off_duration)
-
-    @property
-    def n_trips(self) -> int:
-        """Round trips implied by the pattern: 1 + off/on."""
-        if self.off_duration == 0:
-            return 1
-        return 1 + round(self.off_duration / self.on_duration)
 
 
 class TopologyVariant(enum.Enum):
@@ -343,8 +330,10 @@ def round_trip_time(loop: FiberLoop) -> float:
 
 
 def _check_trips(n_trips: int) -> None:
+    if type(n_trips) is not int:  # so a bool or 2.5 is no trip count
+        raise ValueError(f"n_trips must be an int, got {n_trips!r}")
     if not 1 <= n_trips <= MAX_TRIPS:
-        raise ValueError(f"need 1 to {MAX_TRIPS} round trips, got {n_trips}")
+        raise ValueError(f"n_trips: need 1 to {MAX_TRIPS} round trips, got {n_trips}")
 
 
 def buffer_time(n_trips: int, loop: FiberLoop) -> float:
@@ -355,9 +344,7 @@ def buffer_time(n_trips: int, loop: FiberLoop) -> float:
 
 def rf_pattern_for(n_trips: int, loop: FiberLoop) -> RfPattern:
     """ON for one round-trip, OFF for the remaining N-1 round-trips."""
-    _check_trips(n_trips)
-    t = round_trip_time(loop)
-    return RfPattern(on_duration=t, off_duration=(n_trips - 1) * t)
+    return RfPattern(round_trip_time(loop), n_trips)
 
 
 def insertion_loss_db(
@@ -389,9 +376,7 @@ def _check_drive(pattern: RfPattern, switch: SwitchSpec) -> None:
             f"drive rate {rate:.0f} Hz exceeds switch limit {switch.max_rep_rate_hz:.0f} Hz"
         )
     if pattern.on_duration < 2.0 * switch.rise_fall_time:
-        raise SwitchCapabilityError(
-            "ON duration too short for the switch rise/fall time"
-        )
+        raise SwitchCapabilityError("ON duration too short for the switch rise/fall time")
 
 
 def simulate_timeline(
@@ -411,21 +396,13 @@ def simulate_timeline(
     if topo.variant is TopologyVariant.MULTIPLIER_DIVIDER:
         raise ValueError("use divider_schedule for the multiplier/divider topology")
     if topo.variant is TopologyVariant.LOOP_PORTS_2_3 and not switch.v_pi_calibrated:
-        raise SwitchCapabilityError(
-            "the ports 2-3 loop requires a recalibrated pi-voltage"
-        )
+        raise SwitchCapabilityError("the ports 2-3 loop requires a recalibrated pi-voltage")
     rt = round_trip_time(loop)
-    if pattern.on_duration < rt * (1.0 - _PATTERN_TOL):
+    if _slots(rt, pattern) != (1, 1):
         raise SchedulingError(
-            f"ON duration {pattern.on_duration:.3e} s shorter than the "
-            f"round trip {rt:.3e} s"
-        )
-    if pattern.on_duration > rt * (1.0 + _PATTERN_TOL):
-        raise SchedulingError(
-            "ON duration longer than one round trip would release the photon early"
+            f"ON duration {pattern.on_duration:.3e} s is not one round trip {rt:.3e} s"
         )
     _check_drive(pattern, switch)
-    _check_trips(pattern.n_trips)
 
     fiber_db = loop.attenuation_db_per_km * loop.length_km
     rate = pattern.repetition_rate_hz
@@ -440,6 +417,25 @@ def simulate_timeline(
     )
     straight_db = switch.loss_straight_db + bleed_db
     return _walk_path(rt, (1, 1), pattern, fiber_db, straight_db, switch.loss_cross_db)
+
+
+def _slots(rt: float, pattern: RfPattern) -> tuple[int, int]:
+    """Round trip and ON window as whole slots (a, b), one of them 1.
+
+    The ratio is rounded once.  Each ON window's worth of arrivals then slips
+    by |b*rt - a*on| against the slot grid, and the longest stay the walk
+    decides spans about N windows (N arrivals on (1, 1) and (r, 1), about N*r
+    for the ghost on (1, r)), so N times that slip must stay within
+    ``_PATTERN_TOL`` of the ON window.
+    """
+    on = pattern.on_duration
+    a, b = (1, round(on / rt)) if rt <= on else (round(rt / on), 1)
+    if pattern.n_trips * abs(b * rt - a * on) > _PATTERN_TOL * on:
+        raise SchedulingError(
+            f"round trip {rt:.3e} s incommensurate with the ON duration {on:.3e} s "
+            f"over {pattern.n_trips} trips"
+        )
+    return a, b
 
 
 def _walk_path(
@@ -475,7 +471,7 @@ def _walk_path(
             )
         loss += per_trip_db + straight_db
         events.append(TimelineEvent(t, EventKind.RECIRCULATE, loss))
-    raise DividerConfigError(f"photon reaches no ON window within {MAX_TRIPS} round trips")
+    raise ValueError(f"the photon needs more than {MAX_TRIPS} round trips")
 
 
 def divider_schedule(
@@ -498,17 +494,8 @@ def divider_schedule(
     out: list[tuple[FiberLoop, PhotonTimeline]] = []
     for path in topo.divider_paths:
         rt = round_trip_time(path)
-        shorter = rt <= pattern.on_duration
-        ratio = pattern.on_duration / rt if shorter else rt / pattern.on_duration
-        if round(ratio) < 1 or abs(ratio / round(ratio) - 1.0) > _DIVIDER_TOL:
-            raise DividerConfigError(
-                f"path round trip {rt:.3e} s incommensurate with the "
-                f"ON duration {pattern.on_duration:.3e} s"
-            )
-        per_trip = (
-            path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db
-        )
-        slots = (1, round(ratio)) if shorter else (round(ratio), 1)
+        slots = _slots(rt, pattern)
+        per_trip = path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db
         walk = (rt, slots, pattern, per_trip, switch.loss_straight_db, switch.loss_cross_db)
         main = _walk_path(*walk)
         out.append((path, main))

@@ -145,6 +145,15 @@ class Scenario:
             )
         if self.n_trips < 1:
             raise ScenarioError("scenario needs n_trips >= 1")
+        for name, positive in (
+            ("pair_rate", False), ("signal_arm_loss_db", False), ("integration_time", True)
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                kind = "positive" if positive else "nonnegative"
+                raise ScenarioError(
+                    f"scenario {self.name!r}: {name} must be finite and {kind}, got {value}"
+                )
 
 
 @dataclass(frozen=True)

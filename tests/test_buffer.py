@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberloop import qstate
@@ -10,7 +10,6 @@ from fiberloop.buffer import (
     MAX_TRIPS,
     SPEED_OF_LIGHT,
     BufferTopology,
-    DividerConfigError,
     EventKind,
     FiberLoop,
     NoiseConfig,
@@ -71,6 +70,13 @@ class TestBufferTime:
         with pytest.raises(ValueError):
             buffer_time(0, FiberLoop(1000.0))
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    @pytest.mark.parametrize("budget", [buffer_time, insertion_loss_db])
+    def test_rejects_non_integer_trips(self, budget, n):
+        # the same trip-count rule as RfPattern: 2.5 trips has no timeline
+        with pytest.raises(ValueError, match="n_trips must be an int"):
+            budget(n, FiberLoop(1000.0))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 500),
@@ -107,9 +113,16 @@ class TestRfPattern:
         assert p.off_duration == 0.0
         assert p.n_trips == 1
 
-    def test_rejects_incommensurate_off(self):
-        with pytest.raises(ValueError):
-            RfPattern(on_duration=1e-5, off_duration=1.5e-5)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("on_duration", v) for v in (math.nan, math.inf, 0.0)]
+        + [("n_trips", v) for v in (2.5, True, 0, MAX_TRIPS + 1)],
+    )
+    def test_bad_field_is_a_value_error_naming_it(self, field, value):
+        # NaN passes every ordering check, and a fractional trip count is an
+        # OFF duration that is no whole number of ON windows
+        with pytest.raises(ValueError, match=field):
+            RfPattern(**{"on_duration": 1e-5, "n_trips": 2, field: value})
 
 
 class TestInsertionLoss:
@@ -193,8 +206,16 @@ class TestSimulateTimeline:
         rt = round_trip_time(loop)
         with pytest.raises(SchedulingError):
             simulate_timeline(
-                RfPattern(rt * 0.5, rt * 0.5), loop, BufferTopology(V24)
+                RfPattern(rt * 0.5, 2), loop, BufferTopology(V24)
             )
+
+    def test_drift_over_the_whole_stay_rejected(self):
+        # 0.09 % short is within 0.1 % per trip, yet over 1000 trips the
+        # exit slips 0.9 ON windows off the slot grid
+        loop = FiberLoop(3000.0)
+        rt = round_trip_time(loop)
+        with pytest.raises(SchedulingError, match="incommensurate"):
+            simulate_timeline(RfPattern(0.9991 * rt, MAX_TRIPS), loop, BufferTopology(V24))
 
     def test_drive_rate_beyond_switch_rejected(self):
         loop = FiberLoop(2.0)  # 9.8 ns round trip -> MHz-scale drive
@@ -244,7 +265,7 @@ class TestSimulateTimeline:
         rt = round_trip_time(loop)
         with pytest.raises(ValueError, match="round trips"):
             simulate_timeline(
-                RfPattern(rt, MAX_TRIPS * rt), loop, BufferTopology(V24, leak_threshold_hz=1e9)
+                RfPattern(rt, MAX_TRIPS + 1), loop, BufferTopology(V24, leak_threshold_hz=1e9)
             )
 
     def test_fractional_leak_inert_below_threshold(self):
@@ -325,23 +346,57 @@ class TestDividerSchedule:
         expected = 2 * 1.2 + 4 * 1.0 + 5 * 0.15 + 10 * 0.01
         assert ghost.final_loss_db == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("unit_m,short_m", [(4000.0, 1000.0), (3000.0, 1000.0)])
-    def test_trip_counts_follow_the_slot_closed_forms(self, unit_m, short_m):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(1000.0, 6000.0),
+        # every N whose ghost, (N-1)*r + 1 trips, fits under the trip cap
+        st.integers(1, 8).flatmap(
+            lambda r: st.tuples(st.just(r), st.integers(1, (MAX_TRIPS - 1) // r + 1))
+        ),
+    )
+    @example(4000.0, (4, 13))  # the multiple a float exit rule made 14 trips
+    @example(3000.0, (3, 60))
+    @example(1000.0, (1, MAX_TRIPS))
+    def test_trip_counts_follow_the_slot_closed_forms(self, unit_m, r_n):
         # the unit path holds N trips, the short path exits on its first
         # return, and the ghost waits for the next ON window: (N-1)*r + 1
+        r, n = r_n
         unit = FiberLoop(unit_m, attenuation_db_per_km=0.15)
-        short = FiberLoop(short_m, attenuation_db_per_km=0.15)
-        r = round(unit_m / short_m)
+        short = FiberLoop(unit_m / r, attenuation_db_per_km=0.15)
         topo = BufferTopology(
             TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(unit, short)
         )
-        for n in range(1, 61):
-            out = divider_schedule(topo, rf_pattern_for(n, unit))
-            trips = {(p is unit, t.ghosted): t.round_trips for p, t in out}
-            expected = {(True, False): n, (False, False): 1}
-            if n > 1:
-                expected[(False, True)] = (n - 1) * r + 1
-            assert trips == expected, n
+        switch = SwitchSpec(rise_fall_time=1e-15, max_rep_rate_hz=1e15)
+        out = divider_schedule(topo, rf_pattern_for(n, unit), switch)
+        trips = {(p is unit, t.ghosted): t.round_trips for p, t in out}
+        # at r = 1 the "short" path is the unit path again
+        expected = {(True, False): n, (False, False): 1 if r > 1 else n}
+        if r > 1 and n > 1:
+            expected[(False, True)] = (n - 1) * r + 1
+        assert trips == expected
+
+    @pytest.mark.parametrize("n", [2, 50, 120, 200])
+    def test_path_drifting_out_of_the_on_window_rejected(self, n):
+        # 0.98 % long is within 1 % per trip, yet after N = 120 trips its
+        # exit would lie 1.17 ON windows into the frame
+        unit = FiberLoop(4000.0)
+        topo = BufferTopology(
+            TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(FiberLoop(4039.0),)
+        )
+        with pytest.raises(SchedulingError, match="incommensurate"):
+            divider_schedule(topo, rf_pattern_for(n, unit))
+
+    def test_ghost_beyond_the_trip_cap_is_a_round_trip_error(self):
+        unit, short = FiberLoop(4000.0), FiberLoop(1000.0)
+        topo = BufferTopology(
+            TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(unit, short)
+        )
+        out = divider_schedule(topo, rf_pattern_for(250, unit))
+        assert max(t.round_trips for _, t in out) == 249 * 4 + 1
+        # the drive is commensurate; only the ghost's 1,001 trips are too many
+        with pytest.raises(ValueError, match=f"{MAX_TRIPS} round trips") as err:
+            divider_schedule(topo, rf_pattern_for(251, unit))
+        assert err.type is ValueError
 
     def test_incommensurate_path_rejected(self):
         unit = FiberLoop(4000.0)
@@ -349,7 +404,7 @@ class TestDividerSchedule:
         topo = BufferTopology(
             TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(odd,)
         )
-        with pytest.raises(DividerConfigError):
+        with pytest.raises(SchedulingError):
             divider_schedule(topo, rf_pattern_for(2, unit))
 
     def test_needs_divider_topology(self):

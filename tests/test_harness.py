@@ -436,6 +436,12 @@ class TestMalformedScenario:
             (("switch", "loss_cross_db"), 10**400),
             (("schema_version",), "2"),
             (("schema_version",), True),
+            (("counting", "pair_rate"), math.nan),
+            (("counting", "pair_rate"), -1.0),
+            (("counting", "signal_arm_loss_db"), math.inf),
+            (("counting", "signal_arm_loss_db"), -0.5),
+            (("counting", "integration_time"), 0.0),
+            (("counting", "integration_time"), math.inf),
         ],
     )
     def test_scenario_error_and_exit_code(self, tmp_path, path, value):
@@ -443,6 +449,17 @@ class TestMalformedScenario:
         with pytest.raises(ScenarioError):
             scenario_from_dict(payload)
         assert cli.main(["run", str(write_scenario(tmp_path, payload))]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pair_rate", math.nan), ("signal_arm_loss_db", math.inf), ("integration_time", 0.0)],
+    )
+    def test_counting_error_names_field(self, key, value):
+        # caught at load: a NaN pair rate would fail only in numpy's Poisson
+        # draw, and an infinite arm loss would fit pure accidentals
+        payload = replaced(scenario_to_dict(quiet_scenario()), ("counting", key), value)
+        with pytest.raises(ScenarioError, match=rf"'test': {key} must be finite"):
+            scenario_from_dict(payload)
 
     def test_validator_error_names_section(self):
         payload = replaced(scenario_to_dict(quiet_scenario()), ("loop", "length_m"), -1.0)
@@ -684,3 +701,11 @@ def test_artifacts_do_not_depend_on_the_output_path(tmp_path, monkeypatch):
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert len(trees[0]) > 30 and trees[0] == trees[1]
     assert any(p.name == "run_result.json" for p in trees[0])
+
+
+def test_readme_scenario_loads_and_runs():
+    """The scenario file shown in README.md is valid for the current schema."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    result = run_scenario(scenario_from_dict(json.loads(block)))
+    assert result.timeline.retrieved and 0.5 < result.state_fidelity <= 1.0
