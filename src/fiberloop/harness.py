@@ -271,6 +271,11 @@ def run_scenario(
     run_id: str | None = None,
 ) -> RunResult:
     """Run one plain-loop scenario end to end; persist artifacts if asked."""
+    if scenario.topology.variant is buf.TopologyVariant.MULTIPLIER_DIVIDER:
+        raise ScenarioError(
+            f"scenario {scenario.name!r}: topology.variant MULTIPLIER_DIVIDER "
+            "runs only in the divider suite (fiberloop divider)"
+        )
     with _scenario_context(scenario.name):
         pattern = buf.rf_pattern_for(scenario.n_trips, scenario.loop)
         timeline = buf.simulate_timeline(

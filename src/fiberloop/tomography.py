@@ -15,9 +15,12 @@ unit-trace positive semidefinite sigma, which has 15 real degrees of freedom.
 The solve is a primal interior-point method: damped Newton steps on
 -log L / mu - log det sigma, started from linear inversion mixed toward I/4
 until strictly positive, with the barrier weight mu = 1 divided by 10 after
-each inner solve.  Each step is a traceless Hermitian matrix found in the
-eigenbasis of sigma, where the barrier's Hessian is diagonal.  The solve
-stops at the first re-centered point where the first-order certificate
+each inner solve.  Each iterate is factored once, sigma = V diag(lam) V^dag:
+the line search's positivity check is that eigendecomposition.  The
+probabilities p_j, the gradient, the Hessian (whose barrier part is diagonal
+there), the traceless step and the certificate all come from the POVM's
+coordinates in the eigenbasis V.  The solve stops at the first re-centered
+point where the first-order certificate
 
     lambda_max(sum_j n_j E_j / p_j) - N  >=  log L_max - log L(sigma)
 
@@ -126,128 +129,120 @@ for _arr in (_Q, _TO_COORDS, _FROM_COORDS, _TRACE_COORDS):
     _arr.flags.writeable = False
 
 
-def _inv_sqrt(s: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(s)
-    return (v / np.sqrt(w)) @ v.conj().T
-
-
-def _design_condition(projectors: np.ndarray) -> float:
-    # rows: the projectors' coordinates Tr(P_j Q_k); the rank test catches
-    # fewer than 16 independent settings, whose condition number can be finite
-    m = (projectors.reshape(len(projectors), 16) @ _TO_COORDS).real
-    if np.linalg.matrix_rank(m) < 16:
-        return math.inf
-    return float(np.linalg.cond(m))
-
-
 @dataclass(frozen=True)
 class _Design:
     """What the fit needs of a complete set of settings, counts aside."""
 
-    povm: np.ndarray        # E_j = S^-1/2 P_j S^-1/2
-    rows: np.ndarray        # conj(E_j) flattened: p = Re(rows @ sigma.ravel())
-    inversion: np.ndarray   # pseudo-inverse of rows (linear inversion)
+    povm: np.ndarray        # E_j = S^-1/2 P_j S^-1/2, flattened row-major
+    inversion: np.ndarray   # linear inversion: sigma.ravel() from p
     s_inv_half: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
 def _design(settings: tuple[AnalyzerSetting, ...]) -> _Design:
     projectors = cnt.joint_projectors(settings)
-    if _design_condition(projectors) > _MAX_DESIGN_CONDITION:
+    # rows: the projectors' coordinates Tr(P_j Q_k); the rank test catches
+    # fewer than 16 independent settings, whose condition number can be finite
+    m = (projectors.reshape(len(projectors), 16) @ _TO_COORDS).real
+    if np.linalg.matrix_rank(m) < 16 or np.linalg.cond(m) > _MAX_DESIGN_CONDITION:
         raise IncompleteSettingsError(
             "settings are not tomographically complete (singular design matrix)"
         )
-    s_inv_half = _inv_sqrt(projectors.sum(axis=0))
+    w, v = np.linalg.eigh(projectors.sum(axis=0))
+    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
     povm = np.einsum("ij,kjl,lm->kim", s_inv_half, projectors, s_inv_half)
-    rows = povm.conj().reshape(len(povm), 16)
-    design = _Design(
-        povm=povm,
-        rows=rows,
-        inversion=np.linalg.pinv(rows),
-        s_inv_half=s_inv_half,
-    )
+    povm = povm.reshape(len(povm), 16)
+    # p = Re(conj(E) @ sigma.ravel()), so its pseudo-inverse inverts p
+    design = _Design(povm=povm, inversion=np.linalg.pinv(povm.conj()), s_inv_half=s_inv_half)
     for arr in vars(design).values():
         arr.flags.writeable = False
     return design
 
 
-def _nll_and_grad(
-    sigma: np.ndarray, design: _Design, counts: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """-sum_j n_j log Tr(E_j sigma) and its gradient -sum_j n_j E_j / p_j.
-
-    The gradient G is the Hermitian matrix with d(nll) = Tr(G d(sigma)).
-    """
-    p = (design.rows @ sigma.ravel()).real
-    grad = -((counts / p) @ design.povm.reshape(-1, 16)).reshape(4, 4)
-    return -float(counts @ np.log(p)), grad
-
-
-def _warm_start(design: _Design, counts: np.ndarray) -> np.ndarray:
-    """Linear inversion, mixed toward I/4 until strictly positive."""
+def _warm_start(design: _Design, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear inversion, mixed toward I/4 until strictly positive, and its
+    eigendecomposition (the mixing keeps the eigenvectors)."""
     sigma = (design.inversion @ (counts / counts.sum())).reshape(4, 4)
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma = sigma / np.trace(sigma).real
-    lowest = np.linalg.eigvalsh(sigma)[0]
+    lam, v = np.linalg.eigh(sigma)
     floor = _START_MARGIN / 4.0
-    if lowest < floor:
-        w = (floor - lowest) / (0.25 - lowest)
+    if lam[0] < floor:
+        w = (floor - lam[0]) / (0.25 - lam[0])
         sigma = (1.0 - w) * sigma + w * np.eye(4) / 4.0
-    return sigma
+        lam = (1.0 - w) * lam + w / 4.0
+    return sigma, lam, v
+
+
+def _eigen_coords(
+    design: _Design, counts: np.ndarray, lam: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the fit reads off sigma = V diag(lam) V^dag: to_eigen, the unitary
+    taking a row-major M to the coordinates of V^dag M V; ae, row j those of
+    V^dag E_j V; p_j = Tr(E_j sigma); and r, those of V^dag R V for
+    R = sum_j n_j E_j / p_j, minus the gradient of -log L."""
+    to_eigen = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(16, 16) @ _TO_COORDS
+    ae = (design.povm @ to_eigen).real
+    p = ae[:, :4] @ lam
+    return to_eigen, ae, p, (counts / p) @ ae
+
+
+def _certificate(r: np.ndarray, n_total: float) -> float:
+    """lambda_max(R) - N >= log L_max - log L(sigma), from R's coordinates r."""
+    return float(np.linalg.eigvalsh((_FROM_COORDS @ r).reshape(4, 4))[-1] - n_total)
 
 
 def _newton_step(
-    sigma: np.ndarray, grad: np.ndarray, design: _Design, counts: np.ndarray, mu: float
+    lam: np.ndarray, ae: np.ndarray, p: np.ndarray, r: np.ndarray,
+    counts: np.ndarray, mu: float, rhs: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Newton step of nll / mu - log det sigma over traceless directions.
-
-    The step is solved in the eigenbasis of sigma, where the barrier Hessian
-    is diagonal (1 / lambda_a lambda_b), and the system is scaled to a unit
-    diagonal first.  Near the boundary the Hessian spans many decades along
-    those eigen-directions; solving it in a fixed basis would lose the
-    smallest eigenvalues of sigma to rounding.  Returns the step and the
-    Newton decrement.
-    """
-    lam, v = np.linalg.eigh(sigma)
-    # Row-major M -> coordinates of V^dag M V, M seen in the eigenbasis.
-    to_eigen = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(16, 16) @ _TO_COORDS
-    ae = (design.povm.reshape(-1, 16) @ to_eigen).real
-    p = ae[:, :4] @ lam
-    g = (grad.reshape(16) @ to_eigen).real / mu
+    """Newton step of nll / mu - log det sigma over traceless directions, in
+    sigma's eigenbasis, where the barrier Hessian is diagonal (1 / lambda_a
+    lambda_b), scaled to a unit diagonal: near the boundary the Hessian spans
+    many decades, and a fixed basis would lose sigma's smallest eigenvalues to
+    rounding.  Returns the step's eigen-coordinates and the Newton decrement;
+    ``rhs`` is scratch whose second column holds ``_TRACE_COORDS``."""
+    g = -r / mu
     g[:4] -= 1.0 / lam
     hess = (ae.T * (counts / (p * p * mu))) @ ae
-    hess += np.diag(1.0 / (lam[_Q_ROWS] * lam[_Q_COLS]))
+    hess.reshape(-1)[::17] += 1.0 / (lam[_Q_ROWS] * lam[_Q_COLS])  # barrier Hessian
     scale = 1.0 / np.sqrt(np.diagonal(hess))
-    u = np.linalg.solve(
-        hess * np.outer(scale, scale), np.stack([g, _TRACE_COORDS], axis=1) * scale[:, None]
-    ) * scale[:, None]
+    hess *= scale
+    hess *= scale[:, None]
+    rhs[:, 0] = g
+    u = np.linalg.solve(hess, rhs * scale[:, None]) * scale[:, None]
     # Subtract the multiple of the constraint solve that makes Tr(step) = 0.
-    d = (_TRACE_COORDS @ u[:, 0]) / (_TRACE_COORDS @ u[:, 1]) * u[:, 1] - u[:, 0]
-    step = v @ (_FROM_COORDS @ d).reshape(4, 4) @ v.conj().T
-    return step, math.sqrt(max(-float(g @ d), 0.0))
+    traces = u[:4].sum(axis=0)  # Tr(Q_k) is 1 for k < 4, else 0
+    d = traces[0] / traces[1] * u[:, 1] - u[:, 0]
+    return d, math.sqrt(max(-float(g @ d), 0.0))
 
 
 def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
-    """Certified maximum-likelihood sigma."""
-    sigma = _warm_start(design, counts)
+    """Certified maximum-likelihood sigma, one eigendecomposition per iterate."""
+    sigma, lam, v = _warm_start(design, counts)
     n_total = counts.sum()
     tol = max(cfg.convergence_tol, 64 * np.finfo(float).eps * n_total)
+    rhs = np.column_stack([np.empty(16), _TRACE_COORDS])
     mu, centered = 1.0, False
     for steps in range(cfg.max_iterations + 1):
-        _, grad = _nll_and_grad(sigma, design, counts)
+        to_eigen, ae, p, r = _eigen_coords(design, counts, lam, v)
         # Certify only points re-centered by a full step: there the bound is mu (4 - 1/lambda_max).
-        if centered and np.linalg.eigvalsh(-grad)[-1] - n_total <= tol:
+        if centered and _certificate(r, n_total) <= tol:
             return sigma
         if steps == cfg.max_iterations:
             break
-        step, decrement = _newton_step(sigma, grad, design, counts, mu)
+        d, decrement = _newton_step(lam, ae, p, r, counts, mu, rhs)
+        step = (to_eigen @ d).conj().reshape(4, 4)  # V (sum_k d_k Q_k) V^dag: to_eigen is unitary
         centered = decrement < _CENTERED
         # Full steps near the central path, damped ones elsewhere; the
-        # halving guards positivity against rounding near the boundary.
+        # halving guards positivity against rounding near the boundary.  The
+        # factorization that shows the new iterate positive is its eigenbasis.
         t = 1.0 if centered else 1.0 / (1.0 + decrement)
-        while np.linalg.eigh(sigma + t * step)[0][0] <= 0.0:
+        lam, v = np.linalg.eigh(trial := sigma + t * step)
+        while lam[0] <= 0.0:
             t /= 2.0
-        sigma = sigma + t * step
+            lam, v = np.linalg.eigh(trial := sigma + t * step)
+        sigma = trial
         if centered:
             mu /= 10.0
     raise MleConvergenceError(

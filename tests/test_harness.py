@@ -343,6 +343,20 @@ class TestCli:
         assert override == seed0_csv
         assert override != seed5_csv
 
+    def test_divider_topology_runs_only_in_its_suite(self, tmp_path, capsys):
+        """A MULTIPLIER_DIVIDER scenario file loads, but run and sweep reject it
+        by field and name the divider suite, with the error exit code."""
+        path = write_scenario(tmp_path, scenario_to_dict(divider_scenario()))
+        with pytest.raises(ScenarioError, match=r"'div'.*topology\.variant.*divider suite"):
+            run_scenario(load_scenario(path))
+        sweep = ["--param", "noise.cross_phase_flip", "--values", "0,0.01"]
+        for argv in (["run", str(path)], ["sweep", str(path), *sweep]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: scenario 'div")
+            assert "topology.variant" in err and "divider suite" in err
+            assert "divider_schedule" not in err
+
     def test_unconverged_fit_exit_code(self, tmp_path, capsys, one_step_fit):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))

@@ -28,8 +28,12 @@ from fiberloop.tomography import (
     InsufficientDataError,
     MleConfig,
     MleConvergenceError,
+    _certificate,
     _design,
-    _nll_and_grad,
+    _eigen_coords,
+    _Q,
+    _solve,
+    _warm_start,
     reconstruct_chi,
     reconstruct_state,
     report_metrics,
@@ -49,19 +53,31 @@ def poisson_records(rho, flux=4e6, accidental=0.0, seed=0):
     return simulate_dataset(rho, cfg, 2.0, SETTINGS)
 
 
+def standard_basis_terms(sigma, design, counts):
+    """-sum_j n_j log p_j and its gradient G = -sum_j n_j E_j / p_j, with
+    p_j = Tr(E_j sigma), computed in the fixed basis without the solver."""
+    p = (design.povm.conj() @ sigma.ravel()).real
+    return -float(counts @ np.log(p)), -((counts / p) @ design.povm).reshape(4, 4)
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
+        """The solver's eigen-coordinate gradient -r is the derivative of the
+        negative log-likelihood along the rotated basis V Q_k V^dag."""
         rng = np.random.Generator(np.random.Philox(42))
         design = _design(SETTINGS)
         counts = rng.uniform(10, 1000, size=16)
         sigma = random_state(7).matrix
-        _, grad = _nll_and_grad(sigma, design, counts)
+        lam, v = np.linalg.eigh(sigma)
+        _, _, p, r = _eigen_coords(design, counts, lam, v)
+        np.testing.assert_allclose(p, (design.povm.conj() @ sigma.ravel()).real, atol=1e-14)
         eps = 1e-6
-        for direction in (np.kron(a, b) for a in qstate.PAULIS for b in qstate.PAULIS):
-            up, _ = _nll_and_grad(sigma + eps * direction, design, counts)
-            dn, _ = _nll_and_grad(sigma - eps * direction, design, counts)
+        for k, q in enumerate(_Q):
+            direction = v @ q @ v.conj().T
+            up, _ = standard_basis_terms(sigma + eps * direction, design, counts)
+            dn, _ = standard_basis_terms(sigma - eps * direction, design, counts)
             expected = (up - dn) / (2 * eps)
-            assert np.trace(grad @ direction).real == pytest.approx(expected, rel=1e-4, abs=1e-6)
+            assert -r[k] == pytest.approx(expected, rel=1e-4, abs=1e-6)
 
 
 class TestReconstructState:
@@ -216,6 +232,54 @@ class TestReferenceCorpus:
             recs = [CountRecord(i, int(n), 0, 1.0) for i, n in enumerate(counts)]
             gaps.append(likelihood_gap(counts, reconstruct_state(recs, SETTINGS).matrix))
         assert max(gaps) <= 1.1 * min(gaps)
+
+    def test_certificate_matches_the_standard_basis(self):
+        """lambda_max(-G) - N read off the eigen-coordinates equals the
+        standard-basis value: to 1e-9 relative at the warm start, where the
+        bound is large, and within the solver's rounding floor 64 N eps at the
+        certified fit, where it is a difference of two numbers of size N."""
+        design = _design(SETTINGS)
+        for entry in REFERENCE:
+            counts = np.array(entry["net_counts"], dtype=float)
+            n_total = counts.sum()
+            floor = 64 * np.finfo(float).eps * n_total
+            warm = _warm_start(design, counts)[0]
+            fit = _solve(design, counts, MleConfig())
+            for sigma, rel, abs_ in ((warm, 1e-9, 0.0), (fit, 0.0, floor)):
+                lam, v = np.linalg.eigh(sigma)
+                *_, r = _eigen_coords(design, counts, lam, v)
+                _, grad = standard_basis_terms(sigma, design, counts)
+                expected = np.linalg.eigvalsh(-grad)[-1] - n_total
+                got = _certificate(r, n_total)
+                assert got == pytest.approx(expected, rel=rel, abs=abs_), entry["label"]
+
+    def test_one_eigendecomposition_per_iterate(self, monkeypatch):
+        """The line search's positivity check is the next iterate's
+        eigenbasis: eigh runs once per trial point (Newton steps, counted by
+        their linear solves, plus halvings) and once for the warm start."""
+        _design(tuple(SETTINGS))  # cached before counting
+        eigh, solve = np.linalg.eigh, np.linalg.solve
+        calls = {}
+
+        def counting_eigh(a, *args, **kwargs):
+            out = eigh(a, *args, **kwargs)
+            calls["eigh"] += 1
+            # after the first step, a non-positive trial point halves the step
+            calls["halvings"] += bool(calls["solve"] and out[0][0] <= 0.0)
+            return out
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for entry in REFERENCE:
+            calls.update(eigh=0, solve=0, halvings=0)
+            recs = [CountRecord(i, int(n), 0, 1.0) for i, n in enumerate(entry["net_counts"])]
+            reconstruct_state(recs, SETTINGS)
+            assert calls["solve"] > 0
+            assert calls["eigh"] <= calls["solve"] + calls["halvings"] + 1, (entry["label"], calls)
 
     def test_corpus_covers_the_regimes(self):
         labels = [e["label"] for e in REFERENCE]
