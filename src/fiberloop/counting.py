@@ -113,6 +113,7 @@ class AnalyzerSetting:
         return np.kron(ps, pi)
 
 
+@functools.cache
 def standard_16_settings() -> tuple[AnalyzerSetting, ...]:
     """The 16 joint analyzer settings of the standard two-qubit protocol."""
     out = []

@@ -227,6 +227,8 @@ def evaluate(
     is given (``run_id`` defaults to the id of this run alone).  A timeline
     that leaked or ghost-exited gives a result with no fit.
     """
+    if not (math.isfinite(counts_scale) and counts_scale > 0):
+        raise ScenarioError(f"counts_scale must be finite and positive, got {counts_scale!r}")
     with _scenario_context(scenario.name):
         survival = buf.loss_to_survival(timeline.final_loss_db)
         fit = None

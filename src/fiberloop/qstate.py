@@ -15,6 +15,7 @@ at most 4 operators, so applying one costs the same however many parts it has.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,6 +167,7 @@ def bell_ket() -> np.ndarray:
     return v
 
 
+@functools.cache  # immutable, so built once and shared
 def bell_state() -> TwoQubitState:
     v = bell_ket()
     return TwoQubitState(np.outer(v, v.conj()))
@@ -238,6 +240,7 @@ def apply_chi(chi: ChiMatrix, operator: np.ndarray) -> np.ndarray:
     return chi.weight * out
 
 
+@functools.cache
 def identity_chi() -> ChiMatrix:
     return ChiMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 

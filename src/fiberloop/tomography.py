@@ -12,13 +12,18 @@ has p_j = Tr(E_j sigma) = mu_j / sum_k mu_k for the POVM E_j = S^-1/2 P_j
 S^-1/2, so the objective -sum_j n_j log Tr(E_j sigma) is convex over
 unit-trace positive semidefinite sigma, which has 15 real degrees of freedom.
 
-The solve is a primal interior-point method: damped Newton steps on
--log L / mu - log det sigma, started from linear inversion mixed toward I/4
-until strictly positive, with the barrier weight mu = 1 divided by 10 after
-each inner solve.  Each iterate is factored once, sigma = V diag(lam) V^dag:
-the line search's positivity check is that eigendecomposition.  The
-probabilities p_j, the gradient, the Hessian (whose barrier part is diagonal
-there), the traceless step and the certificate all come from the POVM's
+The solve is a primal interior-point method that follows the central path
+of -log L / mu - log det sigma from linear inversion mixed toward I/4 until
+strictly positive (Boyd & Vandenberghe, Convex Optimization, 11.3-11.5).  At
+each barrier weight mu, damped Newton steps run until the decrement is below
+``_CENTERED``, then one full step re-centers; from there a predictor step
+along the path tangent mu dsigma/dmu moves to mu / 100.  The first weight,
+10 * 100^round(log10(max(1, 1e-5 N)) / 2) for N counts, keeps the first
+stage short and puts 1e-7, where re-centered fits first certify, on the
+schedule.  Each iterate is factored once, sigma = V diag(lam) V^dag: the line
+search's positivity check is that eigendecomposition.  The probabilities
+p_j, the gradient, the Hessian (whose barrier part is diagonal there), the
+traceless step and tangent and the certificate all come from the POVM's
 coordinates in the eigenbasis V.  The solve stops at the first re-centered
 point where the first-order certificate
 
@@ -99,9 +104,11 @@ class MleConfig:
 _MAX_DESIGN_CONDITION = 1e6
 # Smallest eigenvalue of the warm start, as a fraction of the mixed state's.
 _START_MARGIN = 1e-3
-# Newton decrement below which a step is taken in full, the inner solve is
-# done and mu is lowered (the quadratic region of a self-concordant barrier).
+# Newton decrement below which a step is taken in full, after which the
+# point is re-centered (the quadratic region of a self-concordant barrier).
 _CENTERED = 0.25
+# Factor by which each predictor step lowers the barrier weight mu.
+_MU_DROP = 100.0
 
 # Orthonormal basis Q_k of the Hermitian 4x4 matrices, Tr(Q_k Q_l) = delta_kl:
 # E_aa, then (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2) for a < b.
@@ -195,15 +202,18 @@ def _certificate(r: np.ndarray, n_total: float) -> float:
 def _newton_step(
     lam: np.ndarray, ae: np.ndarray, p: np.ndarray, r: np.ndarray,
     counts: np.ndarray, mu: float, rhs: np.ndarray,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Newton step of nll / mu - log det sigma over traceless directions, in
     sigma's eigenbasis, where the barrier Hessian is diagonal (1 / lambda_a
     lambda_b), scaled to a unit diagonal: near the boundary the Hessian spans
     many decades, and a fixed basis would lose sigma's smallest eigenvalues to
-    rounding.  Returns the step's eigen-coordinates and the Newton decrement;
-    ``rhs`` is scratch whose second column holds ``_TRACE_COORDS``."""
+    rounding.  Returns the eigen-coordinates of the step and of the path
+    tangent mu dsigma/dmu = H^-1 sigma^-1, both traceless, and the Newton
+    decrement; ``rhs`` is scratch whose second column holds ``_TRACE_COORDS``
+    and whose third is zero below its first four rows."""
+    rhs[:4, 2] = 1.0 / lam  # sigma^-1's eigen-coordinates
     g = -r / mu
-    g[:4] -= 1.0 / lam
+    g[:4] -= rhs[:4, 2]
     hess = (ae.T * (counts / (p * p * mu))) @ ae
     hess.reshape(-1)[::17] += 1.0 / (lam[_Q_ROWS] * lam[_Q_COLS])  # barrier Hessian
     scale = 1.0 / np.sqrt(np.diagonal(hess))
@@ -211,10 +221,11 @@ def _newton_step(
     hess *= scale[:, None]
     rhs[:, 0] = g
     u = np.linalg.solve(hess, rhs * scale[:, None]) * scale[:, None]
-    # Subtract the multiple of the constraint solve that makes Tr(step) = 0.
+    # Subtract the multiples of the constraint solve that make both traceless.
     traces = u[:4].sum(axis=0)  # Tr(Q_k) is 1 for k < 4, else 0
     d = traces[0] / traces[1] * u[:, 1] - u[:, 0]
-    return d, math.sqrt(max(-float(g @ d), 0.0))
+    tangent = u[:, 2] - traces[2] / traces[1] * u[:, 1]
+    return d, tangent, math.sqrt(max(-float(g @ d), 0.0))
 
 
 def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
@@ -222,8 +233,10 @@ def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
     sigma, lam, v = _warm_start(design, counts)
     n_total = counts.sum()
     tol = max(cfg.convergence_tol, 64 * np.finfo(float).eps * n_total)
-    rhs = np.column_stack([np.empty(16), _TRACE_COORDS])
-    mu, centered = 1.0, False
+    rhs = np.column_stack([np.empty(16), _TRACE_COORDS, np.zeros(16)])
+    # An odd power of ten near 1e-5 N, so that the schedule meets 1e-7
+    mu = 10.0 * _MU_DROP ** round(math.log10(max(1.0, 1e-5 * n_total)) / 2)
+    centered = False
     for steps in range(cfg.max_iterations + 1):
         to_eigen, ae, p, r = _eigen_coords(design, counts, lam, v)
         # Certify only points re-centered by a full step: there the bound is mu (4 - 1/lambda_max).
@@ -231,20 +244,21 @@ def _solve(design: _Design, counts: np.ndarray, cfg: MleConfig) -> np.ndarray:
             return sigma
         if steps == cfg.max_iterations:
             break
-        d, decrement = _newton_step(lam, ae, p, r, counts, mu, rhs)
+        d, tangent, decrement = _newton_step(lam, ae, p, r, counts, mu, rhs)
+        if centered:  # predict the center at mu / _MU_DROP along the path's tangent
+            d -= (1.0 - 1.0 / _MU_DROP) * tangent
+            mu /= _MU_DROP
+        # Full steps for predictors and near the central path, damped ones elsewhere.
+        t = 1.0 if centered or decrement < _CENTERED else 1.0 / (1.0 + decrement)
+        centered = not centered and decrement < _CENTERED
         step = (to_eigen @ d).conj().reshape(4, 4)  # V (sum_k d_k Q_k) V^dag: to_eigen is unitary
-        centered = decrement < _CENTERED
-        # Full steps near the central path, damped ones elsewhere; the
-        # halving guards positivity against rounding near the boundary.  The
-        # factorization that shows the new iterate positive is its eigenbasis.
-        t = 1.0 if centered else 1.0 / (1.0 + decrement)
+        # The halving guards positivity against rounding near the boundary;
+        # the factorization that shows the new iterate positive is its eigenbasis.
         lam, v = np.linalg.eigh(trial := sigma + t * step)
         while lam[0] <= 0.0:
             t /= 2.0
             lam, v = np.linalg.eigh(trial := sigma + t * step)
         sigma = trial
-        if centered:
-            mu /= 10.0
     raise MleConvergenceError(
         f"likelihood certificate above {tol:g} nats "
         f"after {cfg.max_iterations} Newton steps"
@@ -275,14 +289,8 @@ def reconstruct_state(
     return TwoQubitState(rho / np.trace(rho).real)
 
 
-def _choi_basis() -> np.ndarray:
-    """Columns (I x s_m)|pair>, an orthonormal basis of the two-qubit space."""
-    pair = bell_ket()
-    cols = [np.kron(np.eye(2), p) @ pair for p in PAULIS]
-    return np.column_stack(cols)
-
-
-_CHOI_BASIS = _choi_basis()
+# Columns (I x s_m)|pair>, an orthonormal basis of the two-qubit space.
+_CHOI_BASIS = np.column_stack([np.kron(np.eye(2), p) @ bell_ket() for p in PAULIS])
 _CHOI_BASIS.flags.writeable = False
 
 

@@ -357,6 +357,16 @@ class TestCli:
             assert "topology.variant" in err and "divider suite" in err
             assert "divider_schedule" not in err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_counts_scale_is_named(self, tmp_path, capsys, scale):
+        """A counts scale that is not finite and positive is rejected by name,
+        not as a bad integration time or a numpy error from the draw."""
+        assert cli.main(["table1", "--counts-scale", scale, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: counts_scale must be finite and positive, got ")
+        assert "integration time" not in err
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_unconverged_fit_exit_code(self, tmp_path, capsys, one_step_fit):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))

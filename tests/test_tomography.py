@@ -281,6 +281,19 @@ class TestReferenceCorpus:
             assert calls["solve"] > 0
             assert calls["eigh"] <= calls["solve"] + calls["halvings"] + 1, (entry["label"], calls)
 
+    def test_newton_step_budget(self, newton_steps):
+        """A tangent predictor per barrier stage and a start weight scaled to
+        the counts keep the corpus at about 24 Newton steps per fit; the
+        plain tenfold schedule from mu = 1 took 41 on average and up to 54."""
+        steps = []
+        for entry in REFERENCE:
+            recs = [CountRecord(i, int(n), 0, 1.0) for i, n in enumerate(entry["net_counts"])]
+            newton_steps.clear()
+            reconstruct_state(recs, SETTINGS)
+            steps.append(len(newton_steps))
+        assert np.mean(steps) <= 26
+        assert max(steps) <= 45
+
     def test_corpus_covers_the_regimes(self):
         labels = [e["label"] for e in REFERENCE]
         assert len(labels) >= 100
@@ -288,6 +301,38 @@ class TestReferenceCorpus:
         assert sum(label.startswith("long-storage-") for label in labels) == 34
         assert sum(label.startswith("bell-500pps-") for label in labels) == 5
         assert any(0 in e["net_counts"] for e in REFERENCE)
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """A list that gains one entry per Newton step: each step is one solve."""
+    solve, calls = np.linalg.solve, []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("counts_scale", [1e6, 1e7])
+def test_high_counts_certify_within_the_step_budget(tmp_path, newton_steps, counts_scale):
+    """At 1e11-1e12 net counts a barrier started at mu = 1 spent its 500 steps
+    damped before the first centering; started at a weight scaled to the
+    counts, the fit certifies in a few dozen."""
+    from fiberloop import harness
+    from fiberloop.counting import read_dataset_csv
+
+    scenario = next(s for s in harness.table1_scenarios(seed=0) if s.name == "N3-L3.0km")
+    harness.run_scenario(scenario, counts_scale=counts_scale, out_dir=tmp_path)
+    assert 0 < len(newton_steps) <= 45
+    (path,) = tmp_path.rglob("dataset.csv")
+    recs, _ = read_dataset_csv(path)
+    counts = np.array([float(r.net) for r in recs])
+    assert counts.sum() > 1e11
+    rho = reconstruct_state(recs, SETTINGS)
+    assert likelihood_gap(counts, rho.matrix) <= 64 * np.finfo(float).eps * counts.sum()
 
 
 def test_large_counts_certify_to_the_rounding_floor(tmp_path):
