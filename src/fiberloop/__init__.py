@@ -2,7 +2,7 @@
 
 Subsystems
 ----------
-qstate      two-qubit density matrices, Kraus channels, chi matrices, metrics
+qstate      two-qubit density matrices, channels as superoperators, chi matrices, metrics
 buffer      switch timing state machine, loss budget, decoherence channels
 counting    polarization analyzers and Poisson coincidence statistics
 tomography  maximum-likelihood state reconstruction and chi extraction

@@ -19,6 +19,7 @@ ON window).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -536,11 +537,15 @@ def channel_for_timeline(
     if pmd > 0 and km > 0:
         variance = pmd * pmd * km
         parts.append(qstate.phase_damping_channel(1.0 - math.exp(-variance)))
-    cross = [make(p) for make, p in (
+    # one cross pass on injection, one on retrieval: the same channel objects
+    parts.extend(_cross_channels(noise) * 2 if timeline.round_trips >= 1 else ())
+    return qstate.compose_channels(*parts) if parts else qstate.identity_channel()
+
+
+@functools.lru_cache(maxsize=16)  # NoiseConfig is frozen, so its channels are too
+def _cross_channels(noise: NoiseConfig) -> tuple[QubitChannel, ...]:
+    return tuple(make(p) for make, p in (
         (qstate.bit_flip_channel, noise.cross_bit_flip),
         (qstate.phase_flip_channel, noise.cross_phase_flip),
         (qstate.amplitude_damping_channel, noise.cross_amplitude_damping),
-    ) if p > 0]
-    # one cross pass on injection, one on retrieval: the same channel objects
-    parts.extend(cross * 2 if timeline.round_trips >= 1 else ())
-    return qstate.compose_channels(*parts) if parts else qstate.identity_channel()
+    ) if p > 0)

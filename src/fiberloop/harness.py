@@ -232,6 +232,9 @@ def evaluate(
     with _scenario_context(scenario.name):
         survival = buf.loss_to_survival(timeline.final_loss_db)
         fit = None
+        if timeline.retrieved and survival <= 1e-300:  # apply_idler_channel's floor
+            raise ScenarioError(f"scenario {scenario.name!r}: insertion loss "
+                                f"{timeline.final_loss_db:.6g} dB leaves no photon")
         if timeline.retrieved:
             channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
             state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)

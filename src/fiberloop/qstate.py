@@ -6,11 +6,11 @@ Conventions
 Two-qubit vectors are ordered (HH, HV, VH, VV), signal qubit first, buffered
 idler second.  Chi matrices use the operator basis (identity, sigma_x,
 sigma_y, sigma_z), so chi[0, 0] is the identity-process weight.  Channels
-acting on the idler are lists of 2x2 Kraus operators and may be trace
+acting on the idler are built from 2x2 Kraus operators and may be trace
 non-increasing (pure loss); trace-decreasing channels carry their throughput
 as a separate survival probability wherever states are renormalized.
-Composed channels come back in canonical (Choi eigenvector) Kraus form with
-at most 4 operators, so applying one costs the same however many parts it has.
+Channels work as 4x4 superoperators, which compose as products and apply as
+one contraction, so a channel costs the same however many parts it has.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS: tuple[np.ndarray, ...] = (_I2, _SX, _SY, _SZ)
 for _p in PAULIS:
     _p.flags.writeable = False
+_PAULI_VECS = np.array([p.ravel() for p in PAULIS]).T  # column m is vec(s_m)
 
 
 class DegenerateChannelError(ValueError):
@@ -102,31 +103,48 @@ class TwoQubitState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclass(frozen=True)
+def _choi(superop: np.ndarray) -> np.ndarray:  # sum_k vec(K_k) vec(K_k)^dag
+    return superop.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class QubitChannel:
-    """Completely positive, trace non-increasing map as a Kraus-operator set."""
+    """CP, trace non-increasing map held as its superoperator ``superop`` =
+    sum_k K_k (x) conj(K_k), which maps the row-major vec(rho) to vec(rho').
+    A composed channel derives its ``kraus_ops`` (at most 4) when first read."""
 
-    kraus_ops: tuple[np.ndarray, ...]
+    superop: np.ndarray
 
-    def __post_init__(self) -> None:
-        ops = np.array(self.kraus_ops, dtype=complex)  # one stacked copy, frozen below
+    def __init__(self, kraus_ops: tuple[np.ndarray, ...]) -> None:
+        ops = np.array(kraus_ops, dtype=complex)  # one stacked copy, frozen below
         if len(ops) == 0:
             raise ValueError("channel needs at least one Kraus operator")
         if ops.shape[1:] != (2, 2):
             raise ValueError(f"Kraus operators must be 2x2, got {ops.shape[1:]}")
         if not np.isfinite(ops).all():
             raise ValueError("kraus_ops must be finite")
-        # largest eigenvalue of the 2x2 Hermitian sum K^dag K, in closed form
-        (a, b), (_, d) = np.einsum("kji,kjl->il", ops.conj(), ops).tolist()
+        vec = ops.reshape(-1, 4)
+        choi = (vec.T @ vec.conj()).reshape(2, 2, 2, 2)  # sum_k K[i, j] conj(K[a, b])
+        # largest eigenvalue of the 2x2 Hermitian sum conj(K^dag K), in closed form
+        (a, b), (_, d) = (choi[0, :, 0] + choi[1, :, 1]).tolist()
         if (a.real + d.real) / 2 + math.hypot((a.real - d.real) / 2, abs(b)) > 1.0 + 1e-12:
             raise ValueError("channel is trace increasing: sum K^dag K > I")
         ops.flags.writeable = False  # its per-operator views stay read-only too
-        object.__setattr__(self, "kraus_ops", tuple(ops))
+        object.__setattr__(self, "kraus_ops", tuple(ops))  # fills the cached property
+        object.__setattr__(self, "superop", _frozen(_choi(choi)))  # reshuffled back to S
+
+    @functools.cached_property
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+        """Canonical Kraus set sqrt(w) * unvec(v) over the Choi matrix's eigenpairs."""
+        w, v = np.linalg.eigh(_choi(self.superop))
+        keep = (w > 0) | (np.arange(4) == 3)  # the largest stays: a dead channel keeps one
+        ops = np.sqrt(np.maximum(w[keep], 0.0)) * v[:, keep]
+        return tuple(_frozen(ops.T.reshape(-1, 2, 2)))  # read-only, as built channels' are
 
     @property
     def is_trace_preserving(self) -> bool:
-        total = sum(k.conj().T @ k for k in self.kraus_ops)
-        return bool(np.abs(total - _I2).max() <= 1e-12)
+        sup = self.superop.reshape(2, 2, 2, 2)  # sum_i S[(i, i), (j, b)] = (sum K^dag K)[b, j]
+        return bool(np.abs(sup[0, 0] + sup[1, 1] - _I2).max() <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -199,29 +217,24 @@ def apply_idler_channel(
     Returns the renormalized output state and the survival probability
     Tr(rho') of the raw map (1.0 for trace-preserving channels).
     """
-    k = np.array(channel.kraus_ops)
+    sup = channel.superop.reshape(2, 2, 2, 2)  # [idler, idler', in, in'], one contraction
     rho = state.matrix.reshape(2, 2, 2, 2)  # [signal, idler, signal', idler']
-    out = np.einsum("kai,sitj,kbj->satb", k, rho, k.conj()).reshape(4, 4)
+    out = np.einsum("abij,sitj->satb", sup, rho).reshape(4, 4)
     survival = float(np.trace(out).real)
     if survival <= 1e-300:
         raise DegenerateChannelError("channel annihilates the input state")
     return TwoQubitState(out / survival), survival
 
 
-def _pauli_coefficients(k: np.ndarray) -> np.ndarray:
-    """Expansion coefficients of a 2x2 operator in the (I, s1, s2, s3) basis."""
-    return np.array([np.trace(p @ k) / 2.0 for p in PAULIS])
-
-
 def channel_to_chi(channel: QubitChannel) -> ChiMatrix:
-    """Chi matrix of a Kraus channel, normalized to unit trace.
+    """Chi matrix of a channel, normalized to unit trace.
 
-    With K_k = sum_m a_km s_m the raw chi is chi_mn = sum_k a_km conj(a_kn);
-    its trace (1 for trace-preserving maps, the throughput otherwise) is
+    With K_k = sum_m a_km s_m the raw chi is chi_mn = sum_k a_km conj(a_kn) =
+    (B^dag C B)_mn / 4, for the Choi matrix C and the vectorized Paulis as B's
+    columns; its trace (1 for trace-preserving maps, the throughput otherwise) is
     factored out into ``weight``.
     """
-    a = np.array([_pauli_coefficients(k) for k in channel.kraus_ops])
-    chi_raw = a.T @ a.conj()
+    chi_raw = _PAULI_VECS.conj().T @ _choi(channel.superop) @ _PAULI_VECS / 4.0
     weight = float(np.trace(chi_raw).real)
     if weight <= 1e-300:
         raise DegenerateChannelError("channel has all-zero Kraus operators")
@@ -306,21 +319,19 @@ def loss_channel(survival: float) -> QubitChannel:
 def compose_channels(*channels: QubitChannel) -> QubitChannel:
     """Compose channels applied left to right (first argument acts first).
 
-    Several multiply as 4x4 superoperators sum_k K_k (x) conj(K_k), returned as
-    the canonical Kraus set sqrt(w) * unvec(v) over the Choi matrix's eigenpairs.
+    Several multiply as superoperators; a product of CP, trace non-increasing
+    maps is one, so it is not validated again.
     """
     if not channels:
         raise ValueError("need at least one channel")
     if len(channels) == 1:
         return channels[0]
-    sup = np.eye(4, dtype=complex)
-    for ch in channels:
-        k = np.array(ch.kraus_ops)
-        sup = np.einsum("kij,kab->iajb", k, k.conj()).reshape(4, 4) @ sup
-    w, v = np.linalg.eigh(sup.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
-    keep = (w > 0) | (np.arange(4) == 3)  # the largest stays: a dead channel keeps one
-    ops = np.sqrt(np.maximum(w[keep], 0.0)) * v[:, keep]
-    return QubitChannel(tuple(ops.T.reshape(-1, 2, 2)))
+    sup = channels[0].superop
+    for ch in channels[1:]:
+        sup = ch.superop @ sup
+    out = object.__new__(QubitChannel)
+    object.__setattr__(out, "superop", _frozen(sup))
+    return out
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

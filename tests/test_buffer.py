@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberloop import qstate
+from fiberloop import buffer, qstate
 from fiberloop.buffer import (
     MAX_TRIPS,
     SPEED_OF_LIGHT,
@@ -31,6 +31,7 @@ from fiberloop.buffer import (
     round_trip_time,
     simulate_timeline,
 )
+from fiberloop.harness import PAPER_2023
 
 V24 = TopologyVariant.LOOP_PORTS_2_4
 V23 = TopologyVariant.LOOP_PORTS_2_3
@@ -562,3 +563,89 @@ class TestCrossChannelReuse:
         (parts,) = seen
         assert len(parts) == 7  # loss, then bit flip, phase flip, damping twice
         assert all(a is b for a, b in zip(parts[1:4], parts[4:7]))
+
+
+def reference_idler_output(timeline: PhotonTimeline, loop: FiberLoop, noise: NoiseConfig):
+    """Independent reference: each part's Kraus set written out by hand and
+    applied to the Bell pair's idler in turn, one (I kron K) sandwich per
+    operator.  Zero-probability parts are kept; they act as the identity."""
+    eye, sx, sz = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    survival = 10.0 ** (-timeline.final_loss_db / 10.0)
+    pmd = noise.pmd_dephasing_per_km
+    pmd = loop.pmd_dephasing_per_km if pmd is None else pmd
+    lam = 1.0 - math.exp(-pmd * pmd * timeline.round_trips * loop.length_km)
+    p, q, g = noise.cross_bit_flip, noise.cross_phase_flip, noise.cross_amplitude_damping
+    cross = [
+        [math.sqrt(1 - p) * eye, math.sqrt(p) * sx],
+        [math.sqrt(1 - q) * eye, math.sqrt(q) * sz],
+        [np.diag([1.0, math.sqrt(1 - g)]), np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])],
+    ]
+    parts = [[math.sqrt(survival) * eye],
+             [np.diag([1.0, math.sqrt(1 - lam)]), np.diag([0.0, math.sqrt(lam)])],
+             *cross, *cross]
+    rho = qstate.bell_state().matrix
+    for ops in parts:
+        big = [np.kron(eye, k) for k in ops]
+        rho = sum(b @ rho @ b.conj().T for b in big)
+    total = float(np.trace(rho).real)
+    return rho / total, total
+
+
+def assert_matches_reference(timeline, loop, noise):
+    state, survival = qstate.apply_idler_channel(
+        qstate.bell_state(), channel_for_timeline(timeline, loop, noise)
+    )
+    ref_state, ref_survival = reference_idler_output(timeline, loop, noise)
+    np.testing.assert_allclose(state.matrix, ref_state, rtol=0, atol=1e-14)
+    assert survival == pytest.approx(ref_survival, rel=0, abs=1e-14)
+
+
+class TestChannelMatchesKrausReference:
+    """The superoperator path against a Kraus-by-Kraus reference, on the
+    model-only fidelity map: both wirings, 1-6 km, N = 1..8, drives the switch
+    allows, with paper-2023 phase noise alone and with extra bit flip and
+    amplitude damping."""
+
+    def test_every_fidelity_map_point(self):
+        phase_only = PAPER_2023.to_noise()
+        mixed = NoiseConfig(
+            pmd_dephasing_per_km=phase_only.pmd_dephasing_per_km,
+            cross_phase_flip=phase_only.cross_phase_flip,
+            cross_bit_flip=0.005,
+            cross_amplitude_damping=0.005,
+        )
+        checked = 0
+        for variant in (V24, V23):
+            switch = SwitchSpec(v_pi_calibrated=(variant is V23))
+            for km in range(1, 7):
+                loop = FiberLoop(1000.0 * km)
+                for n in range(1, 9):
+                    pattern = rf_pattern_for(n, loop)
+                    if pattern.repetition_rate_hz > switch.max_rep_rate_hz:
+                        continue
+                    timeline = simulate_timeline(pattern, loop, BufferTopology(variant), switch)
+                    if not timeline.retrieved:
+                        continue
+                    for noise in (phase_only, mixed):
+                        assert_matches_reference(timeline, loop, noise)
+                        checked += 1
+        assert checked == 170  # the retrieved points of the 180-point map
+
+    def test_more_noise_configs_than_the_cache_holds(self):
+        loop = FiberLoop(3000.0)
+        pattern = rf_pattern_for(2, loop)
+        timeline = simulate_timeline(pattern, loop, BufferTopology(V24), SwitchSpec())
+        configs = [
+            NoiseConfig(
+                pmd_dephasing_per_km=0.01 * j,
+                cross_bit_flip=0.001 * j,
+                cross_phase_flip=0.002 * (j % 7),
+                cross_amplitude_damping=0.003 * (j % 5),
+            )
+            for j in range(40)
+        ]
+        assert len(set(configs)) == 40
+        for noise in configs + configs[::-1]:  # evicted entries are built again
+            assert_matches_reference(timeline, loop, noise)
+        info = buffer._cross_channels.cache_info()
+        assert info.currsize <= info.maxsize < 40

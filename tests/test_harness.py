@@ -733,3 +733,13 @@ def test_readme_scenario_loads_and_runs():
     (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
     result = run_scenario(scenario_from_dict(json.loads(block)))
     assert result.timeline.retrieved and 0.5 < result.state_fidelity <= 1.0
+
+
+class TestLostPhoton:
+    @pytest.mark.parametrize("n_trips", [200, 150])  # survival 0.0, and subnormal
+    def test_underflowed_survival_names_the_insertion_loss(self, n_trips):
+        scenario = quiet_scenario(name="lost", loop=buf.FiberLoop(100_000.0), n_trips=n_trips)
+        loss = buf.insertion_loss_db(n_trips, scenario.loop, scenario.switch)
+        assert loss > 3000.0
+        with pytest.raises(ScenarioError, match=rf"'lost': insertion loss {loss:.6g} dB"):
+            run_scenario(scenario)

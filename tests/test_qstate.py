@@ -374,3 +374,49 @@ class TestSerialization:
         payload = matrix_to_json(np.array([[1 + 2j, 3], [0, -1j]]))
         assert payload["shape"] == [2, 2]
         assert payload["elements"] == [[1.0, 2.0], [3.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+
+
+class TestSuperoperatorForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PRIMITIVES, min_size=2, max_size=8))
+    def test_lazy_kraus_set_reproduces_the_superoperator(self, chain):
+        composed = compose_channels(*chain)
+        channel_to_chi(composed)
+        assert "kraus_ops" not in vars(composed)  # composing and chi leave it underived
+        ops = composed.kraus_ops
+        assert len(ops) <= 4
+        np.testing.assert_allclose(superoperator(ops), composed.superop, rtol=0, atol=1e-14)
+        assert composed.kraus_ops is ops
+
+    def test_superoperator_of_kraus_channel(self):
+        ch = random_channel(7, n_kraus=4, survival=0.6)
+        np.testing.assert_allclose(
+            ch.superop, superoperator(ch.kraus_ops), rtol=0, atol=1e-15
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.floats(0.05, 1.0))
+    def test_chi_matches_pauli_coefficients(self, seed, n_kraus, survival):
+        ch = random_channel(seed, n_kraus=n_kraus, survival=survival)
+        a = np.array([[np.trace(p @ k) / 2.0 for p in PAULIS] for k in ch.kraus_ops])
+        chi_raw = a.T @ a.conj()
+        chi = channel_to_chi(ch)
+        assert chi.weight == pytest.approx(np.trace(chi_raw).real, rel=0, abs=1e-14)
+        np.testing.assert_allclose(chi.weight * chi.matrix, chi_raw, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("built", ["kraus", "composed"])
+    def test_channel_is_immutable(self, built):
+        ch = bit_flip_channel(0.1)
+        if built == "composed":
+            ch = compose_channels(ch, loss_channel(0.5))
+        for name in ("superop", "kraus_ops", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(ch, name, None)
+        with pytest.raises(AttributeError):
+            del ch.superop
+        with pytest.raises(ValueError):
+            ch.superop[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            ch.kraus_ops = ()  # also once the Kraus set is derived
