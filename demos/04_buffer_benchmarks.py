@@ -9,8 +9,8 @@ buffer times and the ghost recirculation.
 from fiberloop.harness import PAPER_2023, run_divider_suite, run_table1_suite
 
 print(f"Noise profile: {PAPER_2023.name}")
-print(f"  per-cross phase flip : {PAPER_2023.cross_phase_flip:.6f}")
-print(f"  PMD dephasing per km : {PAPER_2023.pmd_dephasing_per_km:.6f} rad std dev")
+print(f"  per-cross phase flip : {PAPER_2023.noise.cross_phase_flip:.6f}")
+print(f"  PMD dephasing per km : {PAPER_2023.noise.pmd_dephasing_per_km:.6f} rad std dev")
 
 print("\nBenchmark rows (measured | reference):")
 results, comparison = run_table1_suite(seed=42, exact_counts=True)

@@ -8,12 +8,12 @@ an RF ON/OFF pattern: ON routes cross (1->4, 2->3), OFF routes straight
 the straight state N-1 times, and is called out by the next ON transition.
 
 Above a port-dependent repetition rate the switch no longer holds the photon
-and it leaks to the output on the first pass; the leak thresholds are
+and it leaks, whole, to the output on the first pass; the leak thresholds are
 calibration constants of the two loop wirings.  A second tier of 1x2 selector
 switches can swap the delay line between a unit-length fiber and an integer
 fraction of it, yielding integer multiples and integer dividers of the unit
 delay (plus a "ghost" recirculation for photons injected near the end of the
-ON window).
+ON window).  Every decoherence knob, PMD dephasing included, is in ``NoiseConfig``.
 """
 
 from __future__ import annotations
@@ -116,18 +116,11 @@ class SwitchSpec:
 
 @dataclass(frozen=True)
 class FiberLoop:
-    """Fiber delay line: length, attenuation, group index, PMD dephasing.
-
-    ``pmd_dephasing_per_km`` is the standard deviation (radians) of the
-    random dephasing angle accumulated over one kilometre; independent
-    per-km contributions add in quadrature, so the variance grows linearly
-    with propagated length.
-    """
+    """Fiber delay line: length, attenuation, group index."""
 
     length_m: float
     attenuation_db_per_km: float = 0.2
     group_index: float = 1.468
-    pmd_dephasing_per_km: float = 0.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -137,8 +130,6 @@ class FiberLoop:
             raise ValueError("attenuation must be nonnegative")
         if self.group_index < 1:
             raise ValueError("group index must be >= 1")
-        if self.pmd_dephasing_per_km < 0:
-            raise ValueError("PMD dephasing must be nonnegative")
 
     @property
     def length_km(self) -> float:
@@ -184,18 +175,10 @@ DEFAULT_LEAK_THRESHOLD_HZ: dict[TopologyVariant, float] = {
 
 @dataclass(frozen=True)
 class BufferTopology:
-    """Loop wiring plus, for the divider variant, the selectable delay paths.
-
-    ``leak_fraction`` is the fraction of the photon that escapes per straight
-    pass once the drive rate exceeds the threshold.  At the default 1.0 the
-    leak is binary (full early exit on the first recirculation); fractional
-    values model a partial bleed for sensitivity studies, in which case the
-    photon is still retrieved, just with extra loss per recirculation.
-    """
+    """Loop wiring, its leak threshold and, for the divider, the delay paths."""
 
     variant: TopologyVariant
     leak_threshold_hz: float | None = None
-    leak_fraction: float = 1.0
     divider_paths: tuple[FiberLoop, ...] = ()
     selector_loss_db: float = 0.01
 
@@ -207,8 +190,6 @@ class BufferTopology:
         _require_finite(self)
         if not self.leak_threshold_hz > 0:
             raise ValueError("leak threshold must be positive")
-        if not 0.0 < self.leak_fraction <= 1.0:
-            raise ValueError("leak fraction must lie in (0, 1]")
         object.__setattr__(self, "divider_paths", tuple(self.divider_paths))
         is_divider = self.variant is TopologyVariant.MULTIPLIER_DIVIDER
         if is_divider and not self.divider_paths:
@@ -301,13 +282,13 @@ class PhotonTimeline:
 class NoiseConfig:
     """Decoherence knobs for the buffered idler.
 
-    ``pmd_dephasing_per_km`` overrides the loop's own value when set.  The
-    per-cross probabilities are applied once per cross transition of the
-    switch (injection and retrieval).  ``accidental_rate`` is consumed by the
-    counting stage, not by the channel.
+    ``pmd_dephasing_per_km`` is the std dev (radians) of the dephasing angle
+    gathered per km of fiber, so its variance grows linearly with length.  The
+    per-cross probabilities apply once per cross pass (injection, retrieval).
+    ``accidental_rate`` is consumed by the counting stage, not by the channel.
     """
 
-    pmd_dephasing_per_km: float | None = None
+    pmd_dephasing_per_km: float = 0.0
     cross_bit_flip: float = 0.0
     cross_phase_flip: float = 0.0
     cross_amplitude_damping: float = 0.0
@@ -319,7 +300,7 @@ class NoiseConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v}")
-        if self.pmd_dephasing_per_km is not None and self.pmd_dephasing_per_km < 0:
+        if self.pmd_dephasing_per_km < 0:
             raise ValueError("PMD dephasing must be nonnegative")
         if self.accidental_rate < 0:
             raise ValueError("accidental rate must be nonnegative")
@@ -406,18 +387,12 @@ def simulate_timeline(
     _check_drive(pattern, switch)
 
     fiber_db = loop.attenuation_db_per_km * loop.length_km
-    rate = pattern.repetition_rate_hz
-    over_threshold = rate > topo.leak_threshold_hz * (1.0 + LEAK_RATE_GUARD)
-    if over_threshold and topo.leak_fraction >= 1.0:
+    if pattern.repetition_rate_hz > topo.leak_threshold_hz * (1.0 + LEAK_RATE_GUARD):
         inject = TimelineEvent(0.0, EventKind.INJECT, switch.loss_cross_db)
         loss = switch.loss_cross_db + (fiber_db + switch.loss_straight_db)
         leak = TimelineEvent(rt, EventKind.LEAK, loss)
         return PhotonTimeline((inject, leak), total_buffer_time=rt, round_trips=1)
-    bleed_db = (
-        -10.0 * math.log10(1.0 - topo.leak_fraction) if over_threshold else 0.0
-    )
-    straight_db = switch.loss_straight_db + bleed_db
-    return _walk_path(rt, (1, 1), pattern, fiber_db, straight_db, switch.loss_cross_db)
+    return _walk_path(rt, (1, 1), pattern, fiber_db, switch.loss_straight_db, switch.loss_cross_db)
 
 
 def _slots(rt: float, pattern: RfPattern) -> tuple[int, int]:
@@ -517,10 +492,10 @@ def channel_for_timeline(
     """Decoherence channel seen by the retrieved idler.
 
     Composes, in order: polarization-independent attenuation from the
-    accumulated loss budget, PMD dephasing as a phase-damping channel whose
-    variance grows linearly with the propagated fiber length, and the
-    per-cross switch-actuation channels (bit flip, phase flip, amplitude
-    damping) once per cross transition.
+    accumulated loss budget, the noise's PMD dephasing as a phase-damping
+    channel whose variance grows linearly with the fiber length propagated
+    (round trips times the loop length), and the per-cross switch-actuation
+    channels (bit flip, phase flip, amplitude damping) once per cross pass.
     """
     if not timeline.retrieved:
         raise NoRetrievalError("timeline has no RETRIEVE event")
@@ -528,11 +503,7 @@ def channel_for_timeline(
     loss_db = timeline.final_loss_db
     if loss_db > 0:
         parts.append(qstate.loss_channel(loss_to_survival(loss_db)))
-    pmd = (
-        noise.pmd_dephasing_per_km
-        if noise.pmd_dephasing_per_km is not None
-        else loop.pmd_dephasing_per_km
-    )
+    pmd = noise.pmd_dephasing_per_km
     km = timeline.round_trips * loop.length_km
     if pmd > 0 and km > 0:
         variance = pmd * pmd * km

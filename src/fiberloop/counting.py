@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .buffer import loss_to_survival
+from .buffer import _require_finite, loss_to_survival
 from .qstate import TwoQubitState
 
 __all__ = [
@@ -174,6 +174,7 @@ class CountingConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.pair_rate < 0 or self.accidental_rate < 0:
             raise ValueError("rates must be nonnegative")
         if self.signal_arm_loss_db < 0 or self.idler_arm_loss_db < 0:

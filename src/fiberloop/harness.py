@@ -17,17 +17,16 @@ The run id hashes ``counts_scale`` and every scenario the run writes, never
 the wall clock, so repeated runs are byte identical and different runs never
 share a directory; a suite prefixes the hash with its kind.
 
-The default decoherence calibration, profile ``paper-2023``, is anchored to
-two measured operating points of the modeled device: the 2 m traveling
-buffer (two cross passes, negligible fiber) fixing the per-cross phase-flip
-probability from a 0.98 pair fidelity, and the single-pass 5.4 km delay
-fixing the PMD dephasing density from a 0.95 pair fidelity.  Every other
-configuration is then a consistency check of the model rather than an
-independent prediction; see README for the derivation and limits.
+A noise profile is a named ``NoiseConfig``.  The default, ``paper-2023``,
+takes its per-cross phase flip and PMD dephasing density from two measured
+points (2 m at F 0.98, one 5.4 km pass at 0.95), so every other
+configuration is a consistency check of the model, not a prediction; see
+README for the derivation and limits.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import hashlib
@@ -64,7 +63,7 @@ __all__ = [
     "GHOST_SURVIVAL_FLOOR",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Ghost recirculations are reported with "negligible single counts" when the
 # photon survival drops below this floor (the reference-geometry ghost, five
@@ -82,19 +81,10 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class NoiseProfile:
     name: str
-    pmd_dephasing_per_km: float
-    cross_phase_flip: float
-    cross_bit_flip: float = 0.0
-    cross_amplitude_damping: float = 0.0
+    noise: buf.NoiseConfig
 
     def to_noise(self, accidental_rate: float = 0.0) -> buf.NoiseConfig:
-        return buf.NoiseConfig(
-            pmd_dephasing_per_km=self.pmd_dephasing_per_km,
-            cross_bit_flip=self.cross_bit_flip,
-            cross_phase_flip=self.cross_phase_flip,
-            cross_amplitude_damping=self.cross_amplitude_damping,
-            accidental_rate=accidental_rate,
-        )
+        return replace(self.noise, accidental_rate=accidental_rate)
 
 
 def _paper_2023_profile() -> NoiseProfile:
@@ -108,11 +98,9 @@ def _paper_2023_profile() -> NoiseProfile:
     # growing linearly in length; solve for the per-km dephasing std dev.
     coherence_pmd_54 = (2.0 * 0.95 - 1.0) / coherence_two_cross
     pmd_var_per_km = -2.0 * math.log(coherence_pmd_54) / 5.4
-    return NoiseProfile(
-        name="paper-2023",
-        pmd_dephasing_per_km=math.sqrt(pmd_var_per_km),
-        cross_phase_flip=q_cross,
-    )
+    return NoiseProfile("paper-2023", buf.NoiseConfig(
+        pmd_dephasing_per_km=math.sqrt(pmd_var_per_km), cross_phase_flip=q_cross
+    ))
 
 
 PAPER_2023 = _paper_2023_profile()
@@ -241,7 +229,7 @@ def evaluate(
             cfg = cnt.CountingConfig(
                 pair_rate=scenario.pair_rate,
                 signal_arm_loss_db=scenario.signal_arm_loss_db,
-                idler_arm_loss_db=-10.0 * math.log10(survival) if survival < 1.0 else 0.0,
+                idler_arm_loss_db=timeline.final_loss_db,
                 accidental_rate=scenario.noise.accidental_rate,
                 rng_seed=scenario.seed,
             )
@@ -525,11 +513,11 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Scenario (de)serialization.  The schema is the dataclass fields, versioned
 # and strict: unknown keys and mistyped values are rejected so typos fail
-# fast.  Version 2 dropped two inert knobs that version 1 files may carry.
+# fast.  Version 1 and 2 files are rewritten as version 3 (``_upgrade``).
 
 # Flat Scenario fields that the file groups under "counting".
 _COUNTING_FIELDS = ("pair_rate", "signal_arm_loss_db", "integration_time")
-_V1_DROPPED = (("topology", "selector_rate_hz"), ("counting", "detector_gate_rate_hz"))
+_PMD = "pmd_dephasing_per_km"
 
 
 def _to_json(value: Any) -> Any:
@@ -594,26 +582,46 @@ def _build(cls: type, where: str, payload: Any, names: Sequence[str] = (), **giv
         raise ScenarioError(f"{where}: {err}") from err
 
 
+def _upgrade(payload: dict, version: int) -> None:
+    """Rewrite a version 1 or 2 file, its noise profile merged, as the version 3
+    file that runs the same (v2 dropped two inert knobs; v3 the partial leak)."""
+    payload.setdefault("noise", {})  # a section of another type fails in its section
+    loop, topology, counting, noise = (payload[k] if isinstance(payload.get(k), dict) else {}
+                                       for k in ("loop", "topology", "counting", "noise"))
+    if version == 1:
+        topology.pop("selector_rate_hz", None)
+        counting.pop("detector_gate_rate_hz", None)
+    # every PMD outside the noise is checked; only the loop's was read, where the noise had none
+    loop_pmd = _build(buf.NoiseConfig, "loop", {_PMD: loop.pop(_PMD, 0.0)}).pmd_dephasing_per_km
+    if noise.get(_PMD) is None:
+        noise[_PMD] = loop_pmd
+    paths = topology.get("divider_paths")
+    for i, path in enumerate(paths if isinstance(paths, list) else ()):
+        if isinstance(path, dict):
+            _build(buf.NoiseConfig, f"topology.divider_paths[{i}]", {_PMD: path.pop(_PMD, 0.0)})
+    if _typed("topology.leak_fraction", float, topology.pop("leak_fraction", 1.0)) != 1.0:
+        raise ScenarioError("topology.leak_fraction: only 1.0 loads; above the "
+                            "threshold the photon leaks whole")
+
+
 def scenario_from_dict(payload: Any) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioError(f"scenario: expected an object, got {payload!r}")
-    payload = dict(payload)
+    payload = copy.deepcopy(payload)  # the upgrade edits its sections
     version = payload.pop("schema_version", None)
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
-    if version == 1:
-        for section, key in _V1_DROPPED:
-            if isinstance(payload.get(section), dict):
-                payload[section] = {k: v for k, v in payload[section].items() if k != key}
     profile = payload.pop("noise_profile", None)
     if profile is not None:
         if not isinstance(profile, str) or profile not in NOISE_PROFILES:
             raise ScenarioError(f"unknown noise profile {profile!r}")
         noise = payload.get("noise", {})
         if isinstance(noise, dict):  # any other type fails in the noise section
-            payload["noise"] = _to_json(NOISE_PROFILES[profile].to_noise()) | noise
+            payload["noise"] = _to_json(NOISE_PROFILES[profile].noise) | noise
+    if version < SCHEMA_VERSION:
+        _upgrade(payload, version)
     counting = _section(Scenario, "counting", payload.pop("counting", {}), _COUNTING_FIELDS)
     flat = [f.name for f in fields(Scenario) if f.name not in _COUNTING_FIELDS]
     return _build(Scenario, "scenario", payload, flat, **counting)

@@ -31,6 +31,7 @@ from fiberloop.buffer import (
     round_trip_time,
     simulate_timeline,
 )
+from fiberloop.counting import CountingConfig
 from fiberloop.harness import PAPER_2023
 
 V24 = TopologyVariant.LOOP_PORTS_2_4
@@ -236,16 +237,6 @@ class TestSimulateTimeline:
             tl = simulate_timeline(rf_pattern_for(n, loop), loop, BufferTopology(V24))
             assert tl.retrieved
 
-    def test_fractional_leak_bleeds_instead_of_exiting(self):
-        # sensitivity-study mode: over threshold, half the photon escapes per
-        # straight pass; the rest is retrieved with 3.01 dB extra per pass
-        loop = FiberLoop(1850.0)
-        topo = BufferTopology(V24, leak_fraction=0.5)
-        tl = simulate_timeline(rf_pattern_for(2, loop), loop, topo)
-        assert tl.retrieved and not tl.leaked
-        expected = insertion_loss_db(2, loop) - 10 * math.log10(0.5)
-        assert tl.final_loss_db == pytest.approx(expected, abs=1e-12)
-
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, MAX_TRIPS),
@@ -268,12 +259,6 @@ class TestSimulateTimeline:
             simulate_timeline(
                 RfPattern(rt, MAX_TRIPS + 1), loop, BufferTopology(V24, leak_threshold_hz=1e9)
             )
-
-    def test_fractional_leak_inert_below_threshold(self):
-        loop = FiberLoop(5400.0)
-        topo = BufferTopology(V24, leak_fraction=0.5)
-        tl = simulate_timeline(rf_pattern_for(2, loop), loop, topo)
-        assert tl.final_loss_db == pytest.approx(insertion_loss_db(2, loop), abs=1e-12)
 
 
 class TestTimelineInvariants:
@@ -442,21 +427,14 @@ class TestChannelForTimeline:
         # dephasing variance sigma^2 with lambda = 1 - exp(-sigma^2);
         # pick sigma^2 = -ln(0.9) so lambda = 0.1 exactly
         var = -math.log(0.9)
-        loop = FiberLoop(1000.0, pmd_dephasing_per_km=math.sqrt(var))
-        ch = channel_for_timeline(self._timeline(), loop)
+        noise = NoiseConfig(pmd_dephasing_per_km=math.sqrt(var))
+        ch = channel_for_timeline(self._timeline(), FiberLoop(1000.0), noise)
         k0, k1 = ch.kraus_ops
         np.testing.assert_allclose(k0, np.diag([1.0, math.sqrt(0.9)]), atol=1e-12)
         np.testing.assert_allclose(k1, np.diag([0.0, math.sqrt(0.1)]), atol=1e-12)
         chi = qstate.channel_to_chi(ch)
         p = (1 - math.sqrt(0.9)) / 2
         np.testing.assert_allclose(chi.matrix, np.diag([1 - p, 0, 0, p]), atol=1e-12)
-
-    def test_noise_override_beats_loop_value(self):
-        loop = FiberLoop(1000.0, pmd_dephasing_per_km=10.0)
-        ch = channel_for_timeline(
-            self._timeline(), loop, NoiseConfig(pmd_dephasing_per_km=0.0)
-        )
-        np.testing.assert_allclose(ch.kraus_ops[0], np.eye(2), atol=1e-15)
 
     def test_cross_noise_applied_twice(self):
         loop = FiberLoop(1000.0)
@@ -486,11 +464,10 @@ class TestChannelForTimeline:
         st.floats(0.0, 0.3),
     )
     def test_output_channel_is_valid(self, loss_db, pmd, q):
-        loop = FiberLoop(1000.0, pmd_dephasing_per_km=pmd)
         ch = channel_for_timeline(
             self._timeline(loss_db=loss_db, trips=2),
-            loop,
-            NoiseConfig(cross_phase_flip=q, cross_bit_flip=q / 2),
+            FiberLoop(1000.0),
+            NoiseConfig(pmd_dephasing_per_km=pmd, cross_phase_flip=q, cross_bit_flip=q / 2),
         )
         total = sum(k.conj().T @ k for k in ch.kraus_ops)
         assert np.linalg.eigvalsh(total).max() <= 1.0 + 1e-12
@@ -510,8 +487,6 @@ class TestValidation:
             BufferTopology(TopologyVariant.MULTIPLIER_DIVIDER)
         with pytest.raises(ValueError):
             BufferTopology(V24, divider_paths=(FiberLoop(1000.0),))
-        with pytest.raises(ValueError):
-            BufferTopology(V24, leak_fraction=0.0)
         assert BufferTopology(V24).leak_threshold_hz == 50e3
         assert BufferTopology(V23).leak_threshold_hz == 78e3
 
@@ -525,14 +500,16 @@ class TestValidation:
     @pytest.mark.parametrize(
         "cls, base, field",
         [(FiberLoop, {"length_m": 1000.0}, f) for f in (
-            "length_m", "attenuation_db_per_km", "group_index", "pmd_dephasing_per_km")]
+            "length_m", "attenuation_db_per_km", "group_index")]
         + [(SwitchSpec, {}, f) for f in (
             "loss_cross_db", "loss_straight_db", "rise_fall_time", "max_rep_rate_hz")]
         + [(NoiseConfig, {}, f) for f in (
             "pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip",
             "cross_amplitude_damping", "accidental_rate")]
         + [(BufferTopology, {"variant": V24}, f) for f in (
-            "leak_threshold_hz", "leak_fraction", "selector_loss_db")],
+            "leak_threshold_hz", "selector_loss_db")]
+        + [(CountingConfig, {"pair_rate": 1.0}, f) for f in (
+            "pair_rate", "signal_arm_loss_db", "idler_arm_loss_db", "accidental_rate")],
     )
     def test_non_finite_field_rejected(self, cls, base, field, value):
         # NaN fails every ordering test, so "x < 0" checks alone let it through
@@ -572,7 +549,6 @@ def reference_idler_output(timeline: PhotonTimeline, loop: FiberLoop, noise: Noi
     eye, sx, sz = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     survival = 10.0 ** (-timeline.final_loss_db / 10.0)
     pmd = noise.pmd_dephasing_per_km
-    pmd = loop.pmd_dephasing_per_km if pmd is None else pmd
     lam = 1.0 - math.exp(-pmd * pmd * timeline.round_trips * loop.length_km)
     p, q, g = noise.cross_bit_flip, noise.cross_phase_flip, noise.cross_amplitude_damping
     cross = [

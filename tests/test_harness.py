@@ -26,6 +26,7 @@ from fiberloop.harness import (
     Scenario,
     ScenarioError,
     TABLE1_ROWS,
+    evaluate,
     load_scenario,
     run_divider_suite,
     run_scenario,
@@ -56,16 +57,16 @@ def quiet_scenario(**overrides) -> Scenario:
 class TestNoiseProfile:
     def test_calibration_anchors(self):
         # per-cross phase flip from the two-cross 0.98 anchor
-        assert (1 - 2 * PAPER_2023.cross_phase_flip) ** 2 == pytest.approx(0.96)
+        assert (1 - 2 * PAPER_2023.noise.cross_phase_flip) ** 2 == pytest.approx(0.96)
         # PMD from the single-pass 5.4 km 0.95 anchor
-        var = PAPER_2023.pmd_dephasing_per_km ** 2 * 5.4
+        var = PAPER_2023.noise.pmd_dephasing_per_km ** 2 * 5.4
         coherence = 0.96 * math.exp(-var / 2)
         assert 0.5 * (1 + coherence) == pytest.approx(0.95, abs=1e-12)
 
     def test_to_noise(self):
         noise = PAPER_2023.to_noise(accidental_rate=42.0)
-        assert noise.accidental_rate == 42.0
-        assert noise.cross_phase_flip == PAPER_2023.cross_phase_flip
+        assert noise == replace(PAPER_2023.noise, accidental_rate=42.0)
+        assert PAPER_2023.to_noise() == PAPER_2023.noise
 
 
 class TestRunScenario:
@@ -202,7 +203,7 @@ class TestScenarioSerialization:
         del payload["noise"]
         payload["noise_profile"] = "paper-2023"
         s = scenario_from_dict(payload)
-        assert s.noise.cross_phase_flip == PAPER_2023.cross_phase_flip
+        assert s.noise == PAPER_2023.noise
 
     def test_unknown_profile_rejected(self):
         payload = scenario_to_dict(quiet_scenario())
@@ -410,6 +411,10 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+LEGACY = Path(__file__).parent / "data" / "legacy"
+LEGACY_F = json.loads((LEGACY / "expected.json").read_text())
+
+
 def divider_scenario() -> Scenario:
     topology = buf.BufferTopology(
         buf.TopologyVariant.MULTIPLIER_DIVIDER,
@@ -602,9 +607,11 @@ class TestSchemaVersions:
             assert scenario_from_dict(payload) == scenario
 
     @pytest.mark.parametrize(
-        "section, key", [("topology", "selector_rate_hz"), ("counting", "detector_gate_rate_hz")]
+        "section, key",
+        [("topology", "selector_rate_hz"), ("counting", "detector_gate_rate_hz"),
+         ("loop", "pmd_dephasing_per_km"), ("topology", "leak_fraction")],
     )
-    def test_v2_rejects_dropped_keys(self, section, key):
+    def test_current_schema_rejects_dropped_keys(self, section, key):
         payload = scenario_to_dict(quiet_scenario())
         payload[section][key] = 1.0
         with pytest.raises(ScenarioError, match=key):
@@ -618,12 +625,59 @@ class TestSchemaVersions:
         with pytest.raises(ScenarioError, match=key):
             scenario_from_dict(payload)
 
-    def test_v2_roundtrip_divider_topology(self):
+    def test_v3_roundtrip_divider_topology(self):
         s = divider_scenario()
         payload = scenario_to_dict(s)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert json.loads(json.dumps(payload)) == payload
         assert scenario_from_dict(payload) == s
+
+    @pytest.mark.parametrize("name", sorted(LEGACY_F))
+    def test_legacy_file_runs_as_before(self, name):
+        """v1 and v2 files written before schema 3 give their F bit for bit:
+        the profile's PMD beats the loop's, a null noise PMD takes the loop's,
+        and the divider paths' PMD, which was never read, is dropped."""
+        s = load_scenario(LEGACY / name)
+        if s.topology.variant is buf.TopologyVariant.MULTIPLIER_DIVIDER:
+            pattern = buf.rf_pattern_for(s.n_trips, s.loop)
+            ((_, timeline), *_) = buf.divider_schedule(s.topology, pattern, s.switch)
+            result = evaluate(timeline, s)
+        else:
+            result = run_scenario(s)
+        assert result.state_fidelity == LEGACY_F[name]
+
+    def test_legacy_pmd_lands_in_noise(self):
+        profile = load_scenario(LEGACY / "v2_profile_loop_pmd.json")
+        assert profile.noise == PAPER_2023.noise
+        null_noise = load_scenario(LEGACY / "v2_null_noise_pmd.json")
+        assert null_noise.noise.pmd_dephasing_per_km == 0.3
+        divider = load_scenario(LEGACY / "v2_divider.json")
+        assert divider.noise.pmd_dephasing_per_km == 0.2
+        assert divider.topology.divider_paths == (DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP)
+
+    @pytest.mark.parametrize("value", [0.5, True, "1.0"])
+    def test_v2_partial_leak_rejected(self, value):
+        payload = json.loads((LEGACY / "v2_null_noise_pmd.json").read_text())
+        payload["topology"]["leak_fraction"] = value
+        with pytest.raises(ScenarioError, match=r"topology\.leak_fraction"):
+            scenario_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "name, path, where",
+        [("v2_profile_loop_pmd.json", ("loop",), "loop"),
+         ("v2_null_noise_pmd.json", ("loop",), "loop"),
+         ("v2_divider.json", ("topology", "divider_paths", 1), r"topology\.divider_paths\[1\]")],
+    )
+    @pytest.mark.parametrize("value", [-1.0, math.nan, "0.3"])
+    def test_dropped_pmd_is_still_checked(self, name, path, where, value):
+        # the schema-2 loader refused these, whether or not it read the value
+        payload = json.loads((LEGACY / name).read_text())
+        with pytest.raises(ScenarioError, match=where):
+            scenario_from_dict(replaced(payload, (*path, "pmd_dephasing_per_km"), value))
+
+    def test_loop_pmd_is_no_sweep_path(self):
+        with pytest.raises(ScenarioError, match=r"sweep path 'loop.pmd_dephasing_per_km' not found"):
+            run_sweep(quiet_scenario(), "loop.pmd_dephasing_per_km", [0.0, 0.5])
 
     @pytest.mark.parametrize(
         "section",
@@ -731,8 +785,12 @@ def test_readme_scenario_loads_and_runs():
     """The scenario file shown in README.md is valid for the current schema."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
-    result = run_scenario(scenario_from_dict(json.loads(block)))
+    payload = json.loads(block)
+    scenario = scenario_from_dict(payload)
+    result = run_scenario(scenario)
     assert result.timeline.retrieved and 0.5 < result.state_fidelity <= 1.0
+    assert payload["schema_version"] == 3
+    assert scenario_from_dict({**payload, "schema_version": 2}) == scenario
 
 
 class TestLostPhoton:
