@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from . import qstate
 from .qstate import QubitChannel
@@ -86,50 +86,49 @@ class TimelineContractError(ValueError):
     """Event sequence violates the photon-timeline invariants."""
 
 
-def _require_finite(spec: object) -> None:
-    """Reject non-finite float fields: NaN passes every ordering check."""
+# Field bounds, declared as ``field(metadata=...)`` where a spec declares the
+# field; ``_validate`` checks them, and that every float is finite.
+_POSITIVE = {"bound": ("positive", lambda v: v > 0)}
+_NONNEGATIVE = {"bound": ("nonnegative", lambda v: v >= 0)}
+_PROBABILITY = {"bound": ("a probability in [0, 1]", lambda v: 0 <= v <= 1)}
+_AT_LEAST_ONE = {"bound": (">= 1", lambda v: v >= 1)}
+
+
+def _validate(spec: object) -> None:
+    """Reject a non-finite float field (NaN passes every ordering check) and
+    any field outside its declared bound, naming it ``<Class>.<field>``."""
     for f in fields(spec):
         value = getattr(spec, f.name)
+        bound, ok = f.metadata.get("bound", (None, None))
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            bound = "finite"
+        elif ok is None or ok(value):
+            continue
+        raise ValueError(f"{type(spec).__name__}.{f.name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
 class SwitchSpec:
     """2x2 switch parameters: per-pass losses and drive capabilities."""
 
-    loss_cross_db: float = 1.2
-    loss_straight_db: float = 1.0
-    rise_fall_time: float = 100e-9
-    max_rep_rate_hz: float = 100e3
+    loss_cross_db: float = field(default=1.2, metadata=_NONNEGATIVE)
+    loss_straight_db: float = field(default=1.0, metadata=_NONNEGATIVE)
+    rise_fall_time: float = field(default=100e-9, metadata=_POSITIVE)
+    max_rep_rate_hz: float = field(default=100e3, metadata=_POSITIVE)
     v_pi_calibrated: bool = False
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.loss_cross_db < 0 or self.loss_straight_db < 0:
-            raise ValueError("switch losses must be nonnegative")
-        if not self.rise_fall_time > 0:
-            raise ValueError("rise/fall time must be positive")
-        if not self.max_rep_rate_hz > 0:
-            raise ValueError("max repetition rate must be positive")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
 class FiberLoop:
     """Fiber delay line: length, attenuation, group index."""
 
-    length_m: float
-    attenuation_db_per_km: float = 0.2
-    group_index: float = 1.468
+    length_m: float = field(metadata=_POSITIVE)
+    attenuation_db_per_km: float = field(default=0.2, metadata=_NONNEGATIVE)
+    group_index: float = field(default=1.468, metadata=_AT_LEAST_ONE)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.length_m > 0:
-            raise ValueError("loop length must be positive")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError("attenuation must be nonnegative")
-        if self.group_index < 1:
-            raise ValueError("group index must be >= 1")
+    __post_init__ = _validate
 
     @property
     def length_km(self) -> float:
@@ -140,12 +139,11 @@ class FiberLoop:
 class RfPattern:
     """RF drive: ON for ``on_duration`` (one round trip T), OFF for (N-1)*T."""
 
-    on_duration: float
+    on_duration: float = field(metadata=_POSITIVE)
     n_trips: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.on_duration) and self.on_duration > 0):
-            raise ValueError(f"on_duration must be finite and positive, got {self.on_duration}")
+        _validate(self)
         _check_trips(self.n_trips)
 
     @property
@@ -178,26 +176,22 @@ class BufferTopology:
     """Loop wiring, its leak threshold and, for the divider, the delay paths."""
 
     variant: TopologyVariant
-    leak_threshold_hz: float | None = None
+    leak_threshold_hz: float | None = field(default=None, metadata=_POSITIVE)
     divider_paths: tuple[FiberLoop, ...] = ()
-    selector_loss_db: float = 0.01
+    selector_loss_db: float = field(default=0.01, metadata=_NONNEGATIVE)
 
     def __post_init__(self) -> None:
         if self.leak_threshold_hz is None:
             object.__setattr__(
                 self, "leak_threshold_hz", DEFAULT_LEAK_THRESHOLD_HZ[self.variant]
             )
-        _require_finite(self)
-        if not self.leak_threshold_hz > 0:
-            raise ValueError("leak threshold must be positive")
+        _validate(self)
         object.__setattr__(self, "divider_paths", tuple(self.divider_paths))
         is_divider = self.variant is TopologyVariant.MULTIPLIER_DIVIDER
         if is_divider and not self.divider_paths:
             raise ValueError("MULTIPLIER_DIVIDER topology needs divider paths")
         if not is_divider and self.divider_paths:
             raise ValueError("divider paths only apply to MULTIPLIER_DIVIDER")
-        if self.selector_loss_db < 0:
-            raise ValueError("selector loss must be nonnegative")
 
 
 class EventKind(enum.Enum):
@@ -288,22 +282,13 @@ class NoiseConfig:
     ``accidental_rate`` is consumed by the counting stage, not by the channel.
     """
 
-    pmd_dephasing_per_km: float = 0.0
-    cross_bit_flip: float = 0.0
-    cross_phase_flip: float = 0.0
-    cross_amplitude_damping: float = 0.0
-    accidental_rate: float = 0.0
+    pmd_dephasing_per_km: float = field(default=0.0, metadata=_NONNEGATIVE)
+    cross_bit_flip: float = field(default=0.0, metadata=_PROBABILITY)
+    cross_phase_flip: float = field(default=0.0, metadata=_PROBABILITY)
+    cross_amplitude_damping: float = field(default=0.0, metadata=_PROBABILITY)
+    accidental_rate: float = field(default=0.0, metadata=_NONNEGATIVE)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        for name in ("cross_bit_flip", "cross_phase_flip", "cross_amplitude_damping"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v}")
-        if self.pmd_dephasing_per_km < 0:
-            raise ValueError("PMD dephasing must be nonnegative")
-        if self.accidental_rate < 0:
-            raise ValueError("accidental rate must be nonnegative")
+    __post_init__ = _validate
 
 
 def round_trip_time(loop: FiberLoop) -> float:
@@ -489,20 +474,18 @@ def channel_for_timeline(
     loop: FiberLoop,
     noise: NoiseConfig = NoiseConfig(),
 ) -> QubitChannel:
-    """Decoherence channel seen by the retrieved idler.
+    """Trace-preserving decoherence channel seen by the retrieved idler.
 
-    Composes, in order: polarization-independent attenuation from the
-    accumulated loss budget, the noise's PMD dephasing as a phase-damping
-    channel whose variance grows linearly with the fiber length propagated
-    (round trips times the loop length), and the per-cross switch-actuation
-    channels (bit flip, phase flip, amplitude damping) once per cross pass.
+    Composes, in order: the noise's PMD dephasing as a phase-damping channel
+    whose variance grows linearly with the fiber length propagated (round
+    trips times the loop length), and the per-cross switch-actuation channels
+    (bit flip, phase flip, amplitude damping) once per cross pass.  The loss
+    budget is polarization independent, so it is no part of the channel: the
+    photon survives with ``loss_to_survival(timeline.final_loss_db)``.
     """
     if not timeline.retrieved:
         raise NoRetrievalError("timeline has no RETRIEVE event")
     parts: list[QubitChannel] = []
-    loss_db = timeline.final_loss_db
-    if loss_db > 0:
-        parts.append(qstate.loss_channel(loss_to_survival(loss_db)))
     pmd = noise.pmd_dephasing_per_km
     km = timeline.round_trips * loop.length_km
     if pmd > 0 and km > 0:

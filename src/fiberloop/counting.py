@@ -22,13 +22,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .buffer import _require_finite, loss_to_survival
+from .buffer import _NONNEGATIVE, _POSITIVE, _validate, loss_to_survival
 from .qstate import TwoQubitState
 
 __all__ = [
@@ -102,10 +102,7 @@ class AnalyzerSetting:
     hwp_idler: float
     qwp_idler: float
 
-    def __post_init__(self) -> None:
-        for v in (self.hwp_signal, self.qwp_signal, self.hwp_idler, self.qwp_idler):
-            if not math.isfinite(v):
-                raise ValueError("waveplate angles must be finite")
+    __post_init__ = _validate
 
     def joint_projector(self) -> np.ndarray:
         ps = projector(self.hwp_signal, self.qwp_signal)
@@ -139,18 +136,12 @@ def joint_projectors(settings: Sequence[AnalyzerSetting]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountRecord:
-    setting_index: int
-    coincidences: int
-    accidentals: int
-    integration_time: float
+    setting_index: int = field(metadata=_NONNEGATIVE)
+    coincidences: int = field(metadata=_NONNEGATIVE)
+    accidentals: int = field(metadata=_NONNEGATIVE)
+    integration_time: float = field(metadata=_POSITIVE)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.setting_index:
-            raise ValueError("setting index must be nonnegative")
-        if self.coincidences < 0 or self.accidentals < 0:
-            raise ValueError("counts must be nonnegative")
-        if not self.integration_time > 0:
-            raise ValueError("integration time must be positive")
+    __post_init__ = _validate
 
     @property
     def net(self) -> int:
@@ -167,18 +158,13 @@ class CountingConfig:
     it only adds Poisson noise downstream.
     """
 
-    pair_rate: float
-    signal_arm_loss_db: float = 0.0
-    idler_arm_loss_db: float = 0.0
-    accidental_rate: float = 0.0
+    pair_rate: float = field(metadata=_NONNEGATIVE)
+    signal_arm_loss_db: float = field(default=0.0, metadata=_NONNEGATIVE)
+    idler_arm_loss_db: float = field(default=0.0, metadata=_NONNEGATIVE)
+    accidental_rate: float = field(default=0.0, metadata=_NONNEGATIVE)
     rng_seed: int = 0
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.pair_rate < 0 or self.accidental_rate < 0:
-            raise ValueError("rates must be nonnegative")
-        if self.signal_arm_loss_db < 0 or self.idler_arm_loss_db < 0:
-            raise ValueError("arm losses must be nonnegative")
+    __post_init__ = _validate
 
 
 def expected_coincidence_rate(
@@ -193,6 +179,10 @@ def expected_coincidence_rate(
         * loss_to_survival(cfg.idler_arm_loss_db)
         * p
     )
+
+
+# Largest mean numpy's Poisson sampler accepts (int64 max less 10 sigma).
+_POISSON_MAX_MEAN = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _setting_rng(seed: int, setting_index: int) -> np.random.Generator:
@@ -215,10 +205,17 @@ def _setting_means(
     p = np.maximum(np.trace(joint_projectors(settings) @ rho.matrix, axis1=1, axis2=2).real, 0)
     s_s, s_i = loss_to_survival(cfg.signal_arm_loss_db), loss_to_survival(cfg.idler_arm_loss_db)
     ac_mean = cfg.accidental_rate * integration_time
-    return [
+    means = [
         (idx, (cfg.pair_rate * s_s * s_i * p_j + cfg.accidental_rate) * integration_time, ac_mean)
         for idx, p_j in enumerate(p.tolist())
     ]
+    peak = max(cc for _, cc, _ in means)
+    if not peak <= _POISSON_MAX_MEAN:
+        raise ValueError(
+            f"coincidence mean {peak:.3g} exceeds the Poisson limit {_POISSON_MAX_MEAN:.3g}: "
+            "lower pair_rate, accidental_rate, integration_time or counts_scale"
+        )
+    return means
 
 
 def simulate_dataset(

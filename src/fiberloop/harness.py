@@ -113,13 +113,13 @@ class Scenario:
 
     name: str
     loop: buf.FiberLoop
-    n_trips: int
+    n_trips: int = field(metadata=buf._AT_LEAST_ONE)
     topology: buf.BufferTopology
     switch: buf.SwitchSpec = buf.SwitchSpec()
     noise: buf.NoiseConfig = buf.NoiseConfig()
-    pair_rate: float = 50e3
-    signal_arm_loss_db: float = 0.0
-    integration_time: float = 2.0
+    pair_rate: float = field(default=50e3, metadata=buf._NONNEGATIVE)
+    signal_arm_loss_db: float = field(default=0.0, metadata=buf._NONNEGATIVE)
+    integration_time: float = field(default=2.0, metadata=buf._POSITIVE)
     seed: int = 0
     expect_leak: bool = False
     exact_counts: bool = False
@@ -131,17 +131,8 @@ class Scenario:
             raise ScenarioError(
                 f"scenario name {self.name!r}: not one path component of <= 255 bytes"
             )
-        if self.n_trips < 1:
-            raise ScenarioError("scenario needs n_trips >= 1")
-        for name, positive in (
-            ("pair_rate", False), ("signal_arm_loss_db", False), ("integration_time", True)
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                kind = "positive" if positive else "nonnegative"
-                raise ScenarioError(
-                    f"scenario {self.name!r}: {name} must be finite and {kind}, got {value}"
-                )
+        with _scenario_context(self.name):
+            buf._validate(self)
 
 
 @dataclass(frozen=True)
@@ -220,12 +211,12 @@ def evaluate(
     with _scenario_context(scenario.name):
         survival = buf.loss_to_survival(timeline.final_loss_db)
         fit = None
-        if timeline.retrieved and survival <= 1e-300:  # apply_idler_channel's floor
+        if timeline.retrieved and survival <= 1e-300:  # no photon left to count
             raise ScenarioError(f"scenario {scenario.name!r}: insertion loss "
                                 f"{timeline.final_loss_db:.6g} dB leaves no photon")
         if timeline.retrieved:
             channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
-            state, survival = qstate.apply_idler_channel(qstate.bell_state(), channel)
+            state, _ = qstate.apply_idler_channel(qstate.bell_state(), channel)
             cfg = cnt.CountingConfig(
                 pair_rate=scenario.pair_rate,
                 signal_arm_loss_db=scenario.signal_arm_loss_db,

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import counting as cnt
+from .buffer import _AT_LEAST_ONE, _POSITIVE, _validate
 from .counting import AnalyzerSetting, CountRecord
 from .qstate import (
     ChiMatrix,
@@ -90,14 +91,10 @@ class MleConvergenceError(ValueError):
 class MleConfig:
     """Newton-step budget and certified likelihood gap (nats) of the fit."""
 
-    max_iterations: int = 500
-    convergence_tol: float = 1e-6
+    max_iterations: int = field(default=500, metadata=_AT_LEAST_ONE)
+    convergence_tol: float = field(default=1e-6, metadata=_POSITIVE)
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence tolerance must be positive")
+    __post_init__ = _validate
 
 
 # Largest acceptable condition number of the linear design matrix.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from fiberloop.buffer import (
     round_trip_time,
     simulate_timeline,
 )
-from fiberloop.counting import CountingConfig
-from fiberloop.harness import PAPER_2023
+from fiberloop.counting import AnalyzerSetting, CountingConfig, CountRecord
+from fiberloop.harness import PAPER_2023, Scenario
+from fiberloop.tomography import MleConfig
 
 V24 = TopologyVariant.LOOP_PORTS_2_4
 V23 = TopologyVariant.LOOP_PORTS_2_3
@@ -414,14 +416,13 @@ class TestChannelForTimeline:
         np.testing.assert_allclose(ch.kraus_ops[0], np.eye(2), atol=1e-15)
 
     def test_loss_only_scalar_kraus(self):
+        # the loss is a survival number, not a channel part: the channel of a
+        # loss-only timeline is the identity
         loop = FiberLoop(1000.0)
         ch = channel_for_timeline(self._timeline(loss_db=3.0), loop)
         assert len(ch.kraus_ops) == 1
-        eta = 10 ** (-0.3)
-        np.testing.assert_allclose(
-            ch.kraus_ops[0], math.sqrt(eta) * np.eye(2), atol=1e-12
-        )
-        assert eta == pytest.approx(0.501, abs=1e-3)
+        np.testing.assert_allclose(ch.kraus_ops[0], np.eye(2), atol=1e-12)
+        assert loss_to_survival(3.0) == pytest.approx(0.501, abs=1e-3)
 
     def test_pmd_phase_damping_kraus(self):
         # dephasing variance sigma^2 with lambda = 1 - exp(-sigma^2);
@@ -473,6 +474,75 @@ class TestChannelForTimeline:
         assert np.linalg.eigvalsh(total).max() <= 1.0 + 1e-12
 
 
+# The validated specs, with the arguments each needs besides the field tried.
+LOOP_ARGS = {"length_m": 1000.0}
+PATTERN_ARGS = {"on_duration": 1e-5, "n_trips": 2}
+TOPOLOGY_ARGS = {"variant": V24}
+ANGLE_ARGS = dict.fromkeys(("hwp_signal", "qwp_signal", "hwp_idler", "qwp_idler"), 0.0)
+RECORD_ARGS = {"setting_index": 0, "coincidences": 5, "accidentals": 1, "integration_time": 1.0}
+RATE_ARGS = {"pair_rate": 1.0}
+SCENARIO_ARGS = {"name": "x", "loop": FiberLoop(1000.0), "n_trips": 1,
+                 "topology": BufferTopology(V24)}
+PROBABILITY = "a probability in [0, 1]"
+
+# Every float field of the validated specs; each must be finite.
+FLOAT_FIELDS = [
+    (FiberLoop, LOOP_ARGS, ("length_m", "attenuation_db_per_km", "group_index")),
+    (SwitchSpec, {}, ("loss_cross_db", "loss_straight_db", "rise_fall_time", "max_rep_rate_hz")),
+    (RfPattern, PATTERN_ARGS, ("on_duration",)),
+    (BufferTopology, TOPOLOGY_ARGS, ("leak_threshold_hz", "selector_loss_db")),
+    (NoiseConfig, {}, ("pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip",
+                       "cross_amplitude_damping", "accidental_rate")),
+    (AnalyzerSetting, ANGLE_ARGS, tuple(ANGLE_ARGS)),
+    (CountRecord, RECORD_ARGS, ("integration_time",)),
+    (CountingConfig, RATE_ARGS, ("pair_rate", "signal_arm_loss_db", "idler_arm_loss_db",
+                                 "accidental_rate")),
+    (MleConfig, {}, ("convergence_tol",)),
+    (Scenario, SCENARIO_ARGS, ("pair_rate", "signal_arm_loss_db", "integration_time")),
+]
+
+# Every bounded field of the validated specs, a value outside the bound, and
+# the bound as the error words it.
+OUT_OF_RANGE = [
+    (FiberLoop, LOOP_ARGS, "length_m", 0.0, "positive"),
+    (FiberLoop, LOOP_ARGS, "attenuation_db_per_km", -0.1, "nonnegative"),
+    (FiberLoop, LOOP_ARGS, "group_index", 0.5, ">= 1"),
+    (SwitchSpec, {}, "loss_cross_db", -1.0, "nonnegative"),
+    (SwitchSpec, {}, "loss_straight_db", -0.5, "nonnegative"),
+    (SwitchSpec, {}, "rise_fall_time", 0.0, "positive"),
+    (SwitchSpec, {}, "max_rep_rate_hz", -1.0, "positive"),
+    (RfPattern, PATTERN_ARGS, "on_duration", 0.0, "positive"),
+    (BufferTopology, TOPOLOGY_ARGS, "leak_threshold_hz", 0.0, "positive"),
+    (BufferTopology, TOPOLOGY_ARGS, "selector_loss_db", -0.01, "nonnegative"),
+    (NoiseConfig, {}, "pmd_dephasing_per_km", -0.1, "nonnegative"),
+    (NoiseConfig, {}, "cross_bit_flip", 1.5, PROBABILITY),
+    (NoiseConfig, {}, "cross_phase_flip", -0.1, PROBABILITY),
+    (NoiseConfig, {}, "cross_amplitude_damping", 2.0, PROBABILITY),
+    (NoiseConfig, {}, "accidental_rate", -1.0, "nonnegative"),
+    (CountRecord, RECORD_ARGS, "setting_index", -1, "nonnegative"),
+    (CountRecord, RECORD_ARGS, "coincidences", -1, "nonnegative"),
+    (CountRecord, RECORD_ARGS, "accidentals", -2, "nonnegative"),
+    (CountRecord, RECORD_ARGS, "integration_time", 0.0, "positive"),
+    (CountingConfig, RATE_ARGS, "pair_rate", -1.0, "nonnegative"),
+    (CountingConfig, RATE_ARGS, "signal_arm_loss_db", -0.5, "nonnegative"),
+    (CountingConfig, RATE_ARGS, "idler_arm_loss_db", -0.5, "nonnegative"),
+    (CountingConfig, RATE_ARGS, "accidental_rate", -1.0, "nonnegative"),
+    (MleConfig, {}, "max_iterations", 0, ">= 1"),
+    (MleConfig, {}, "convergence_tol", 0.0, "positive"),
+    (Scenario, SCENARIO_ARGS, "n_trips", 0, ">= 1"),
+    (Scenario, SCENARIO_ARGS, "pair_rate", -1.0, "nonnegative"),
+    (Scenario, SCENARIO_ARGS, "signal_arm_loss_db", -0.5, "nonnegative"),
+    (Scenario, SCENARIO_ARGS, "integration_time", 0.0, "positive"),
+]
+
+FIELD_CASES = [
+    (cls, base, field, value, "finite")
+    for cls, base, names in FLOAT_FIELDS
+    for field in names
+    for value in (math.nan, math.inf, -math.inf)
+] + OUT_OF_RANGE
+
+
 class TestValidation:
     def test_loop_validation(self):
         with pytest.raises(ValueError):
@@ -496,24 +566,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SwitchSpec(rise_fall_time=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "cls, base, field",
-        [(FiberLoop, {"length_m": 1000.0}, f) for f in (
-            "length_m", "attenuation_db_per_km", "group_index")]
-        + [(SwitchSpec, {}, f) for f in (
-            "loss_cross_db", "loss_straight_db", "rise_fall_time", "max_rep_rate_hz")]
-        + [(NoiseConfig, {}, f) for f in (
-            "pmd_dephasing_per_km", "cross_bit_flip", "cross_phase_flip",
-            "cross_amplitude_damping", "accidental_rate")]
-        + [(BufferTopology, {"variant": V24}, f) for f in (
-            "leak_threshold_hz", "selector_loss_db")]
-        + [(CountingConfig, {"pair_rate": 1.0}, f) for f in (
-            "pair_rate", "signal_arm_loss_db", "idler_arm_loss_db", "accidental_rate")],
+        "cls, base, field, value, bound",
+        [pytest.param(*case, id=f"{case[0].__name__}.{case[2]}={case[3]}")
+         for case in FIELD_CASES],
     )
-    def test_non_finite_field_rejected(self, cls, base, field, value):
+    def test_non_finite_field_rejected(self, cls, base, field, value, bound):
         # NaN fails every ordering test, so "x < 0" checks alone let it through
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        message = f"{cls.__name__}.{field} must be {bound}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             cls(**{**base, field: value})
 
     def test_nan_loop_and_pmd_no_longer_give_a_perfect_channel(self):
@@ -538,8 +599,8 @@ class TestCrossChannelReuse:
                             cross_amplitude_damping=0.03)
         channel_for_timeline(PhotonTimeline(events, 5e-6, 1), FiberLoop(1000.0), noise)
         (parts,) = seen
-        assert len(parts) == 7  # loss, then bit flip, phase flip, damping twice
-        assert all(a is b for a, b in zip(parts[1:4], parts[4:7]))
+        assert len(parts) == 6  # bit flip, phase flip, damping, twice
+        assert all(a is b for a, b in zip(parts[:3], parts[3:]))
 
 
 def reference_idler_output(timeline: PhotonTimeline, loop: FiberLoop, noise: NoiseConfig):
@@ -568,12 +629,17 @@ def reference_idler_output(timeline: PhotonTimeline, loop: FiberLoop, noise: Noi
 
 
 def assert_matches_reference(timeline, loop, noise):
-    state, survival = qstate.apply_idler_channel(
+    """The channel is trace preserving and gives the reference state; the
+    reference's loss part is the survival number of the loss budget."""
+    state, trace = qstate.apply_idler_channel(
         qstate.bell_state(), channel_for_timeline(timeline, loop, noise)
     )
     ref_state, ref_survival = reference_idler_output(timeline, loop, noise)
     np.testing.assert_allclose(state.matrix, ref_state, rtol=0, atol=1e-14)
-    assert survival == pytest.approx(ref_survival, rel=0, abs=1e-14)
+    assert trace == pytest.approx(1.0, rel=0, abs=1e-14)
+    assert loss_to_survival(timeline.final_loss_db) == pytest.approx(
+        ref_survival, rel=0, abs=1e-14
+    )
 
 
 class TestChannelMatchesKrausReference:

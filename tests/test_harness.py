@@ -368,6 +368,17 @@ class TestCli:
         assert "integration time" not in err
         assert not list(tmp_path.rglob("*.json"))
 
+    @pytest.mark.parametrize("key, value", [("pair_rate", 1e20), ("integration_time", 1e30)])
+    def test_poisson_mean_too_large_names_fields(self, tmp_path, capsys, key, value):
+        """A coincidence mean beyond numpy's Poisson sampler is refused by the
+        knobs that set it, not by numpy's bare "lam value too large"."""
+        payload = replaced(scenario_to_dict(table1_scenarios()[0]), ("counting", key), value)
+        assert cli.main(["run", str(write_scenario(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'N1-L5.4km': coincidence mean ")
+        for name in ("pair_rate", "accidental_rate", "integration_time", "counts_scale"):
+            assert name in err
+
     def test_unconverged_fit_exit_code(self, tmp_path, capsys, one_step_fit):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scenario_to_dict(quiet_scenario())))
@@ -480,19 +491,42 @@ class TestMalformedScenario:
         assert cli.main(["run", str(write_scenario(tmp_path, payload))]) == 2
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("pair_rate", math.nan), ("signal_arm_loss_db", math.inf), ("integration_time", 0.0)],
+        "key, value, bound",
+        [("pair_rate", math.nan, "finite"), ("signal_arm_loss_db", math.inf, "finite"),
+         ("integration_time", 0.0, "positive")],
     )
-    def test_counting_error_names_field(self, key, value):
+    def test_counting_error_names_field(self, key, value, bound):
         # caught at load: a NaN pair rate would fail only in numpy's Poisson
         # draw, and an infinite arm loss would fit pure accidentals
         payload = replaced(scenario_to_dict(quiet_scenario()), ("counting", key), value)
-        with pytest.raises(ScenarioError, match=rf"'test': {key} must be finite"):
+        message = f"scenario 'test': Scenario.{key} must be {bound}, got {value}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             scenario_from_dict(payload)
 
-    def test_validator_error_names_section(self):
-        payload = replaced(scenario_to_dict(quiet_scenario()), ("loop", "length_m"), -1.0)
-        with pytest.raises(ScenarioError, match=r"scenario\.loop: loop length"):
+    @pytest.mark.parametrize(
+        "divider, path, value, message",
+        [
+            (False, ("loop", "length_m"), -1.0,
+             "scenario.loop: FiberLoop.length_m must be positive, got -1.0"),
+            (False, ("switch", "rise_fall_time"), 0.0,
+             "scenario.switch: SwitchSpec.rise_fall_time must be positive, got 0.0"),
+            (False, ("topology", "leak_threshold_hz"), -5.0,
+             "scenario.topology: BufferTopology.leak_threshold_hz must be positive, got -5.0"),
+            (True, ("topology", "divider_paths", 1, "group_index"), 0.5,
+             "scenario.topology.divider_paths[1]: FiberLoop.group_index must be >= 1, got 0.5"),
+            (False, ("noise", "cross_bit_flip"), 1.5,
+             "scenario.noise: NoiseConfig.cross_bit_flip must be a probability in [0, 1], "
+             "got 1.5"),
+            (False, ("counting", "pair_rate"), -1.0,
+             "scenario 'test': Scenario.pair_rate must be nonnegative, got -1.0"),
+            (False, ("n_trips",), 0, "scenario 'test': Scenario.n_trips must be >= 1, got 0"),
+        ],
+        ids=["loop", "switch", "topology", "divider_paths", "noise", "counting", "scenario"],
+    )
+    def test_validator_error_names_section(self, divider, path, value, message):
+        base = divider_scenario() if divider else quiet_scenario()
+        payload = replaced(scenario_to_dict(base), path, value)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             scenario_from_dict(payload)
 
     def test_divider_path_error_names_item(self):
