@@ -97,14 +97,18 @@ _AT_LEAST_ONE = {"bound": (">= 1", lambda v: v >= 1)}
 def _validate(spec: object) -> None:
     """Reject a non-finite float field (NaN passes every ordering check) and
     any field outside its declared bound, naming it ``<Class>.<field>``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        bound, ok = f.metadata.get("bound", (None, None))
+    for name, bound, ok in _plan(type(spec)):
+        value = getattr(spec, name)
         if isinstance(value, float) and not math.isfinite(value):
             bound = "finite"
         elif ok is None or ok(value):
             continue
-        raise ValueError(f"{type(spec).__name__}.{f.name} must be {bound}, got {value}")
+        raise ValueError(f"{type(spec).__name__}.{name} must be {bound}, got {value}")
+
+
+@functools.cache  # one plan per spec class: (name, bound, check), None if undeclared
+def _plan(cls: type) -> tuple[tuple[str, str | None, object], ...]:
+    return tuple((f.name, *f.metadata.get("bound", (None, None))) for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -226,24 +230,19 @@ class PhotonTimeline:
     def __post_init__(self) -> None:
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
-        if sum(1 for e in events if e.kind is EventKind.INJECT) != 1:
+        kinds = [e.kind for e in events]  # the one pass; the counts below run in C
+        if kinds.count(EventKind.INJECT) != 1:
             raise TimelineContractError("timeline needs exactly one INJECT")
-        times = [e.time for e in events]
-        strictly = all(b > a for a, b in zip(times, times[1:]))
-        if not strictly:
-            passthrough = (
-                self.round_trips == 0
-                and len(events) == 2
-                and events[1].kind is EventKind.RETRIEVE
-                and times[0] == times[1]
-            )
-            if not passthrough:
-                raise TimelineContractError("event times must be strictly increasing")
-        n_retrieve = sum(1 for e in events if e.kind is EventKind.RETRIEVE)
+        if not all(b.time > a.time for a, b in zip(events, events[1:])) and not (
+            self.round_trips == 0  # the pass-through, in and out at one instant
+            and kinds == [EventKind.INJECT, EventKind.RETRIEVE]
+            and events[0].time == events[1].time
+        ):
+            raise TimelineContractError("event times must be strictly increasing")
+        n_retrieve = kinds.count(EventKind.RETRIEVE)
         if n_retrieve > 1:
             raise TimelineContractError("at most one RETRIEVE allowed")
-        terminal = {EventKind.LEAK, EventKind.GHOST_EXIT}
-        has_terminal_loss = any(e.kind in terminal for e in events)
+        has_terminal_loss = EventKind.LEAK in kinds or EventKind.GHOST_EXIT in kinds
         if n_retrieve == 0 and not has_terminal_loss:
             raise TimelineContractError(
                 "RETRIEVE may be absent only when the photon leaked or ghost-exited"

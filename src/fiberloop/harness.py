@@ -211,9 +211,6 @@ def evaluate(
     with _scenario_context(scenario.name):
         survival = buf.loss_to_survival(timeline.final_loss_db)
         fit = None
-        if timeline.retrieved and survival <= 1e-300:  # no photon left to count
-            raise ScenarioError(f"scenario {scenario.name!r}: insertion loss "
-                                f"{timeline.final_loss_db:.6g} dB leaves no photon")
         if timeline.retrieved:
             channel = buf.channel_for_timeline(timeline, scenario.loop, scenario.noise)
             state, _ = qstate.apply_idler_channel(qstate.bell_state(), channel)
@@ -227,6 +224,10 @@ def evaluate(
             settings = cnt.standard_16_settings()
             draw = cnt.expected_dataset if scenario.exact_counts else cnt.simulate_dataset
             records = draw(state, cfg, scenario.integration_time * counts_scale, settings)
+            # no photon left to count, or none counted: name the loss, not the fit
+            if survival <= 1e-300 or sum(r.net for r in records) <= 0:
+                raise ScenarioError(f"scenario {scenario.name!r}: insertion loss "
+                                    f"{timeline.final_loss_db:.6g} dB leaves no photon to count")
             rho = tomo.reconstruct_state(records, settings)
             chi = tomo.reconstruct_chi(rho)
             fit = Fit(records, settings, rho, chi, tomo.report_metrics(rho, chi))

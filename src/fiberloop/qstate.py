@@ -9,8 +9,8 @@ sigma_y, sigma_z), so chi[0, 0] is the identity-process weight.  Channels
 acting on the idler are built from 2x2 Kraus operators and may be trace
 non-increasing (pure loss); trace-decreasing channels carry their throughput
 as a separate survival probability wherever states are renormalized.
-Channels work as 4x4 superoperators, which compose as products and apply as
-one contraction, so a channel costs the same however many parts it has.
+Channels work as 4x4 superoperators, which compose as products and apply as one
+matmul; the noise channels write theirs in closed form from their checked scalar.
 """
 
 from __future__ import annotations
@@ -92,13 +92,13 @@ class TwoQubitState:
             raise StateContractError(f"expected a 4x4 matrix, got {m.shape}")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise StateContractError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise StateContractError(f"density matrix trace {np.trace(m)} != 1")
+        if abs((trace := m.trace()).real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+            raise StateContractError(f"density matrix trace {trace} != 1")
         if np.linalg.eigvalsh(m).min() < PSD_EIG_FLOOR:
             raise StateContractError("density matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", _frozen(m))
 
-    @property
+    @functools.cached_property  # the matrix is frozen, so it is computed once
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -133,9 +133,20 @@ class QubitChannel:
         object.__setattr__(self, "kraus_ops", tuple(ops))  # fills the cached property
         object.__setattr__(self, "superop", _frozen(_choi(choi)))  # reshuffled back to S
 
+    @classmethod
+    def _from_superop(cls, superop: np.ndarray, *kraus_ops) -> QubitChannel:
+        """Channel of a map CP and trace non-increasing by construction: no checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "superop", _frozen(superop))
+        object.__setattr__(out, "_kraus", kraus_ops)  # made arrays only when first read
+        return out
+
     @functools.cached_property
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
-        """Canonical Kraus set sqrt(w) * unvec(v) over the Choi matrix's eigenpairs."""
+        """The Kraus set the channel was built from, else the canonical set
+        sqrt(w) * unvec(v) over the Choi matrix's eigenpairs."""
+        if self._kraus:
+            return tuple(_frozen(self._kraus))
         w, v = np.linalg.eigh(_choi(self.superop))
         keep = (w > 0) | (np.arange(4) == 3)  # the largest stays: a dead channel keeps one
         ops = np.sqrt(np.maximum(w[keep], 0.0)) * v[:, keep]
@@ -197,7 +208,7 @@ def state_fidelity(rho: TwoQubitState, target: TwoQubitState) -> float:
         raise StateContractError(
             f"fidelity target must be pure (purity {target.purity:.3e})"
         )
-    f = float(np.trace(rho.matrix @ target.matrix).real)
+    f = float((rho.matrix @ target.matrix).trace().real)
     return min(max(f, 0.0), 1.0)
 
 
@@ -217,10 +228,10 @@ def apply_idler_channel(
     Returns the renormalized output state and the survival probability
     Tr(rho') of the raw map (1.0 for trace-preserving channels).
     """
-    sup = channel.superop.reshape(2, 2, 2, 2)  # [idler, idler', in, in'], one contraction
-    rho = state.matrix.reshape(2, 2, 2, 2)  # [signal, idler, signal', idler']
-    out = np.einsum("abij,sitj->satb", sup, rho).reshape(4, 4)
-    survival = float(np.trace(out).real)
+    # rho[s, i, t, j] reshuffled to R[(i, j), (s, t)], so S @ R is out[(a, b), (s, t)]
+    shuffled = state.matrix.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    out = (channel.superop @ shuffled).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    survival = float(out.trace().real)
     if survival <= 1e-300:
         raise DegenerateChannelError("channel annihilates the input state")
     return TwoQubitState(out / survival), survival
@@ -276,7 +287,8 @@ def _flip_channel(p: float, pauli: np.ndarray) -> QubitChannel:
         ops.append(math.sqrt(1.0 - p) * _I2)
     if p > 0.0:
         ops.append(math.sqrt(p) * pauli)
-    return QubitChannel(tuple(ops))
+    sup = (1.0 - p) * np.eye(4) + p * np.kron(pauli, pauli.conj())
+    return QubitChannel._from_superop(sup, *ops)
 
 
 def bit_flip_channel(p: float) -> QubitChannel:
@@ -294,19 +306,19 @@ def phase_flip_channel(p: float) -> QubitChannel:
 def amplitude_damping_channel(gamma: float) -> QubitChannel:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping probability {gamma} outside [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return QubitChannel((k0, k1) if gamma > 0 else (k0,))
+    a = math.sqrt(1.0 - gamma)
+    sup = np.diag([1.0, a, a, 1.0 - gamma])
+    sup[0, 3] = gamma  # K1 (x) conj(K1) takes |1><1| to |0><0|
+    k0, k1 = [[1.0, 0.0], [0.0, a]], [[0.0, math.sqrt(gamma)], [0.0, 0.0]]
+    return QubitChannel._from_superop(sup, *([k0, k1] if gamma > 0 else [k0]))
 
 
 def phase_damping_channel(lam: float) -> QubitChannel:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"damping parameter {lam} outside [0, 1]")
-    k0 = np.diag([1.0, math.sqrt(1.0 - lam)]).astype(complex)
-    if lam == 0:
-        return QubitChannel((k0,))
-    k1 = np.diag([0.0, math.sqrt(lam)]).astype(complex)
-    return QubitChannel((k0, k1))
+    c = math.sqrt(1.0 - lam)
+    k0, k1 = [[1.0, 0.0], [0.0, c]], [[0.0, 0.0], [0.0, math.sqrt(lam)]]
+    return QubitChannel._from_superop(np.diag([1.0, c, c, 1.0]), *([k0, k1] if lam > 0 else [k0]))
 
 
 def loss_channel(survival: float) -> QubitChannel:
@@ -329,9 +341,7 @@ def compose_channels(*channels: QubitChannel) -> QubitChannel:
     sup = channels[0].superop
     for ch in channels[1:]:
         sup = ch.superop @ sup
-    out = object.__new__(QubitChannel)
-    object.__setattr__(out, "superop", _frozen(sup))
-    return out
+    return QubitChannel._from_superop(sup)
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

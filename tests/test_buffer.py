@@ -295,6 +295,44 @@ class TestTimelineInvariants:
             PhotonTimeline(events, 2e-6, 2)
 
 
+def _events(*pairs):
+    """Timeline events from (time, kind) pairs, each with 1 dB of loss."""
+    return tuple(TimelineEvent(t, kind, 1.0) for t, kind in pairs)
+
+
+I, R, L, G, C = (EventKind.INJECT, EventKind.RETRIEVE, EventKind.LEAK,
+                 EventKind.GHOST_EXIT, EventKind.RECIRCULATE)
+
+
+class TestTimelineMessages:
+    """One pass over the event kinds keeps each invariant and its message."""
+
+    @pytest.mark.parametrize("pairs, trips, message", [
+        pytest.param(((0, I), (1, I), (2, R)), 1, "exactly one INJECT", id="two-injects"),
+        pytest.param(((0, C), (1, R)), 1, "exactly one INJECT", id="no-inject"),
+        pytest.param(((0, I), (0, L)), 0, "strictly increasing", id="instant-leak"),
+        pytest.param(((0, R), (0, I)), 0, "strictly increasing", id="retrieve-first"),
+        pytest.param(((0, I), (0, C), (0, R)), 0, "strictly increasing", id="three-at-once"),
+        pytest.param(((0, I), (1, R), (2, R)), 2, "at most one RETRIEVE", id="two-retrieves"),
+        pytest.param(((0, I), (1, C)), 1, "RETRIEVE may be absent only", id="silent-loss"),
+        pytest.param(((0, I), (1, G), (2, R)), 2, "RETRIEVE cannot follow", id="ghost-retrieve"),
+    ])
+    def test_rejected(self, pairs, trips, message):
+        with pytest.raises(TimelineContractError, match=message):
+            PhotonTimeline(_events(*pairs), 1.0, trips)
+
+    @pytest.mark.parametrize("pairs, trips", [
+        pytest.param(((0, I), (0, R)), 0, id="pass-through"),
+        pytest.param(((0, I), (1, C), (2, L)), 2, id="leak"),
+        pytest.param(((0, I), (1, G)), 1, id="ghost"),
+        pytest.param(((0, I), (1, C), (2, R)), 2, id="retrieve"),
+    ])
+    def test_accepted(self, pairs, trips):
+        timeline = PhotonTimeline(list(_events(*pairs)), 1.0, trips)
+        assert isinstance(timeline.events, tuple)
+        assert timeline.retrieved == (pairs[-1][1] is R)
+
+
 class TestDividerSchedule:
     def _run(self):
         unit = FiberLoop(4000.0, attenuation_db_per_km=0.15)
@@ -576,6 +614,16 @@ class TestValidation:
         message = f"{cls.__name__}.{field} must be {bound}, got {value}"
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(**{**base, field: value})
+
+    def test_plan_is_built_once_per_class(self):
+        plan = buffer._plan(FiberLoop)
+        FiberLoop(1000.0)
+        assert buffer._plan(FiberLoop) is plan
+        names = [name for name, _, _ in plan]
+        assert names == ["length_m", "attenuation_db_per_km", "group_index"]
+        name, bound, ok = plan[0]
+        assert bound == "positive" and ok(1.0) and not ok(0.0)
+        assert buffer._plan(SwitchSpec)[-1][1:] == (None, None)  # v_pi_calibrated: no bound
 
     def test_nan_loop_and_pmd_no_longer_give_a_perfect_channel(self):
         with pytest.raises(ValueError, match="attenuation_db_per_km"):

@@ -835,3 +835,19 @@ class TestLostPhoton:
         assert loss > 3000.0
         with pytest.raises(ScenarioError, match=rf"'lost': insertion loss {loss:.6g} dB"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("exact_counts", [True, False])
+    def test_tiny_survival_names_the_insertion_loss(self, exact_counts):
+        # 2,101 dB: survival 1e-210 is representable, yet no count is left to fit
+        scenario = quiet_scenario(name="lost", loop=buf.FiberLoop(100_000.0), n_trips=100,
+                                  exact_counts=exact_counts)
+        loss = buf.insertion_loss_db(100, scenario.loop, scenario.switch)
+        assert 0.0 < buf.loss_to_survival(loss) < 1e-200
+        with pytest.raises(ScenarioError,
+                           match=rf"'lost': insertion loss {loss:.6g} dB leaves no photon"):
+            run_scenario(scenario)
+
+    def test_committed_lost_photon_file_exits_2(self, tmp_path, capsys):
+        path = Path(__file__).parent / "data" / "lost_photon.json"
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "'lost-photon': insertion loss 2101.4 dB" in capsys.readouterr().err

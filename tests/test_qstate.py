@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel, random_state
@@ -420,3 +420,122 @@ class TestSuperoperatorForm:
             ch.kraus_ops[0][0, 0] = 2.0
         with pytest.raises(AttributeError):
             ch.kraus_ops = ()  # also once the Kraus set is derived
+
+
+CLOSED_FORMS = [
+    bit_flip_channel,
+    phase_flip_channel,
+    bit_phase_flip_channel,
+    amplitude_damping_channel,
+    phase_damping_channel,
+]
+# One ulp at 1.0: the entries of a CP, trace non-increasing superoperator lie in
+# [-1, 1], and near 0 (1 - 2p at p = 1/2, say) the Kraus route's cancellation
+# leaves an absolute error at this scale, not one relative to the entry.
+ULP = np.spacing(1.0)
+
+
+@pytest.mark.parametrize("make", CLOSED_FORMS, ids=lambda make: make.__name__)
+class TestClosedFormChannels:
+    """Each noise channel writes its superoperator in closed form from its
+    probability; the checked Kraus constructor is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0))
+    @example(p=0.0)
+    @example(p=1.0)
+    @example(p=0.5)
+    def test_superop_matches_the_checked_kraus_route(self, make, p):
+        channel = make(p)
+        checked = QubitChannel(channel.kraus_ops)
+        np.testing.assert_allclose(channel.superop, checked.superop, rtol=0, atol=ULP)
+        assert channel.is_trace_preserving
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0))
+    @example(p=0.0)
+    @example(p=1.0)
+    def test_kraus_set_reproduces_the_superop(self, make, p):
+        channel = make(p)
+        ops = channel.kraus_ops
+        assert 1 <= len(ops) <= 2 and all(not k.flags.writeable for k in ops)
+        np.testing.assert_allclose(superoperator(ops), channel.superop, rtol=0, atol=ULP)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(allow_nan=True).filter(lambda p: not 0.0 <= p <= 1.0))
+    @example(p=math.nextafter(1.0, 2.0))
+    @example(p=-5e-324)
+    @example(p=math.nan)
+    @example(p=math.inf)
+    def test_out_of_range_probability_raises(self, make, p):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            make(p)
+
+
+class TestTextbookKrausPairs:
+    def test_phase_damping(self):
+        k0, k1 = phase_damping_channel(0.1).kraus_ops
+        assert np.array_equal(k0, np.diag([1.0, math.sqrt(0.9)]))
+        assert np.array_equal(k1, np.diag([0.0, math.sqrt(0.1)]))
+        (k0,) = phase_damping_channel(0.0).kraus_ops
+        assert np.array_equal(k0, np.eye(2))
+
+    def test_amplitude_damping(self):
+        k0, k1 = amplitude_damping_channel(0.3).kraus_ops
+        assert np.array_equal(k0, np.diag([1.0, math.sqrt(0.7)]))
+        assert np.array_equal(k1, np.array([[0.0, math.sqrt(0.3)], [0.0, 0.0]]))
+
+    def test_flips_drop_a_zero_weight_operator(self):
+        (k,) = bit_flip_channel(1.0).kraus_ops
+        assert np.array_equal(k, PAULIS[1])
+        (k,) = phase_flip_channel(0.0).kraus_ops
+        assert np.array_equal(k, np.eye(2))
+
+
+class TestContraction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(1, 4),
+           st.sampled_from([1.0, 0.6, 0.1]))
+    def test_matmul_matches_the_einsum_contraction(self, s1, s2, n_kraus, survival):
+        """The old einsum sums each i's two j terms, then the two partials; the
+        matmul sums all four (with fused multiply-adds under BLAS), so the two
+        agree to a few ulps of the unit-trace output, not bit for bit."""
+        rho, ch = random_state(s1), random_channel(s2, n_kraus=n_kraus, survival=survival)
+        sup, r = ch.superop.reshape(2, 2, 2, 2), rho.matrix.reshape(2, 2, 2, 2)
+        ref = np.einsum("abij,sitj->satb", sup, r).reshape(4, 4)
+        ref_survival = float(np.trace(ref).real)
+        out, got_survival = apply_idler_channel(rho, ch)
+        eps = np.finfo(float).eps
+        assert got_survival == pytest.approx(ref_survival, rel=0, abs=4 * eps)
+        np.testing.assert_allclose(out.matrix, ref / ref_survival, rtol=0, atol=4 * eps)
+
+
+class TestValidatedOnce:
+    def test_mixed_target_rejected_on_every_call(self):
+        mixed = TwoQubitState(np.eye(4, dtype=complex) / 4)
+        for _ in range(2):  # the cached purity still rejects it
+            with pytest.raises(StateContractError, match="fidelity target must be pure"):
+                state_fidelity(bell_state(), mixed)
+        assert "purity" in vars(mixed)
+
+    def test_purity_computed_once(self):
+        rho = random_state(3)
+        assert "purity" not in vars(rho)
+        assert rho.purity == pytest.approx(float(np.trace(rho.matrix @ rho.matrix).real))
+        assert rho.purity is rho.purity
+
+    def test_state_messages(self):
+        m = np.diag([1.0, 0, 0, 0]).astype(complex)
+        m[0, 1] = 0.1
+        with pytest.raises(StateContractError, match="^density matrix is not Hermitian$"):
+            TwoQubitState(m)
+        real = np.diag([0.5, 0.5, 0.5, 0.0]).astype(complex)
+        with pytest.raises(StateContractError, match=r"^density matrix trace \(1\.5\+0j\) != 1$"):
+            TwoQubitState(real)
+        # within the Hermiticity tolerance, yet a trace with imaginary part 2e-12
+        imag = np.diag([1.0 + 5e-13j, 5e-13j, 5e-13j, 5e-13j])
+        with pytest.raises(StateContractError, match=r"^density matrix trace \(1\+2e-12j\) != 1$"):
+            TwoQubitState(imag)
+        with pytest.raises(StateContractError,
+                           match="^density matrix is not positive semidefinite$"):
+            TwoQubitState(np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex))
