@@ -55,8 +55,11 @@ unit = buf.FiberLoop(4000.0, attenuation_db_per_km=0.15)
 short = buf.FiberLoop(1000.0, attenuation_db_per_km=0.15)
 topo = buf.BufferTopology(buf.TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(unit, short))
 for path, tl in buf.divider_schedule(topo, buf.rf_pattern_for(2, unit)):
+    # the first exit, the bypass, is the straight pass of a photon that
+    # arrives while the switch is OFF; it enters no path
+    where = f"{path.length_m/1000:.1f} km path" if tl.round_trips else "bypass"
     print(
-        f"  {path.length_m/1000:.1f} km path -> {tl.events[-1].kind.value:10s} "
+        f"  {where:11s} -> {tl.events[-1].kind.value:10s} "
         f"after {tl.round_trips} trips, {tl.total_buffer_time * 1e6:6.2f} us, "
         f"{tl.final_loss_db:.2f} dB"
     )

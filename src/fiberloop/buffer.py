@@ -12,8 +12,10 @@ and it leaks, whole, to the output on the first pass; the leak thresholds are
 calibration constants of the two loop wirings.  A second tier of 1x2 selector
 switches can swap the delay line between a unit-length fiber and an integer
 fraction of it, yielding integer multiples and integer dividers of the unit
-delay (plus a "ghost" recirculation for photons injected near the end of the
-ON window).  Every decoherence knob, PMD dephasing included, is in ``NoiseConfig``.
+delay.  ``divider_schedule`` lists every exit of that device: the straight
+pass of a photon arriving while the switch is OFF, then each path's exits,
+a short path's trapped "ghost" among them, decided by the one rule that also
+serves the plain loop.  Every decoherence knob is in ``NoiseConfig``.
 """
 
 from __future__ import annotations
@@ -206,6 +208,11 @@ class EventKind(enum.Enum):
     GHOST_EXIT = "GHOST_EXIT"
 
 
+# EnumType's __getattr__ hook makes each EventKind.<member> lookup cost about
+# 0.1 us on Python 3.11, so the per-timeline code reads these names instead.
+_INJECT, _RECIRCULATE, _LEAK, _RETRIEVE, _GHOST_EXIT = EventKind
+
+
 @dataclass(frozen=True)
 class TimelineEvent:
     time: float
@@ -217,10 +224,10 @@ class TimelineEvent:
 class PhotonTimeline:
     """Ordered photon events with accumulated loss.
 
-    ``round_trips`` counts loop traversals (0 for the straight pass-through
-    of the divider bypass, which is also the only case where RETRIEVE may
-    share the INJECT timestamp).  A timeline ends in exactly one of RETRIEVE,
-    LEAK, or GHOST_EXIT.
+    ``round_trips`` counts loop traversals (0 for the divider's straight
+    pass, which is also the only case where RETRIEVE may share the INJECT
+    timestamp).  A timeline ends in exactly one of RETRIEVE, LEAK, or
+    GHOST_EXIT.
     """
 
     events: tuple[TimelineEvent, ...]
@@ -231,18 +238,18 @@ class PhotonTimeline:
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         kinds = [e.kind for e in events]  # the one pass; the counts below run in C
-        if kinds.count(EventKind.INJECT) != 1:
+        if kinds.count(_INJECT) != 1:
             raise TimelineContractError("timeline needs exactly one INJECT")
         if not all(b.time > a.time for a, b in zip(events, events[1:])) and not (
             self.round_trips == 0  # the pass-through, in and out at one instant
-            and kinds == [EventKind.INJECT, EventKind.RETRIEVE]
+            and kinds == [_INJECT, _RETRIEVE]
             and events[0].time == events[1].time
         ):
             raise TimelineContractError("event times must be strictly increasing")
-        n_retrieve = kinds.count(EventKind.RETRIEVE)
+        n_retrieve = kinds.count(_RETRIEVE)
         if n_retrieve > 1:
             raise TimelineContractError("at most one RETRIEVE allowed")
-        has_terminal_loss = EventKind.LEAK in kinds or EventKind.GHOST_EXIT in kinds
+        has_terminal_loss = _LEAK in kinds or _GHOST_EXIT in kinds
         if n_retrieve == 0 and not has_terminal_loss:
             raise TimelineContractError(
                 "RETRIEVE may be absent only when the photon leaked or ghost-exited"
@@ -256,15 +263,15 @@ class PhotonTimeline:
 
     @property
     def retrieved(self) -> bool:
-        return any(e.kind is EventKind.RETRIEVE for e in self.events)
+        return any(e.kind is _RETRIEVE for e in self.events)
 
     @property
     def leaked(self) -> bool:
-        return any(e.kind is EventKind.LEAK for e in self.events)
+        return any(e.kind is _LEAK for e in self.events)
 
     @property
     def ghosted(self) -> bool:
-        return any(e.kind is EventKind.GHOST_EXIT for e in self.events)
+        return any(e.kind is _GHOST_EXIT for e in self.events)
 
     @property
     def final_loss_db(self) -> float:
@@ -372,11 +379,12 @@ def simulate_timeline(
 
     fiber_db = loop.attenuation_db_per_km * loop.length_km
     if pattern.repetition_rate_hz > topo.leak_threshold_hz * (1.0 + LEAK_RATE_GUARD):
-        inject = TimelineEvent(0.0, EventKind.INJECT, switch.loss_cross_db)
+        inject = TimelineEvent(0.0, _INJECT, switch.loss_cross_db)
         loss = switch.loss_cross_db + (fiber_db + switch.loss_straight_db)
-        leak = TimelineEvent(rt, EventKind.LEAK, loss)
+        leak = TimelineEvent(rt, _LEAK, loss)
         return PhotonTimeline((inject, leak), total_buffer_time=rt, round_trips=1)
-    return _walk_path(rt, (1, 1), pattern, fiber_db, switch.loss_straight_db, switch.loss_cross_db)
+    (timeline,) = _walk_path(rt, (1, 1), pattern, fiber_db, switch)
+    return timeline
 
 
 def _slots(rt: float, pattern: RfPattern) -> tuple[int, int]:
@@ -385,7 +393,7 @@ def _slots(rt: float, pattern: RfPattern) -> tuple[int, int]:
     The ratio is rounded once.  Each ON window's worth of arrivals then slips
     by |b*rt - a*on| against the slot grid, and the longest stay the walk
     decides spans about N windows (N arrivals on (1, 1) and (r, 1), about N*r
-    for the ghost on (1, r)), so N times that slip must stay within
+    for the late exit on (1, r)), so N times that slip must stay within
     ``_PATTERN_TOL`` of the ON window.
     """
     on = pattern.on_duration
@@ -398,40 +406,40 @@ def _slots(rt: float, pattern: RfPattern) -> tuple[int, int]:
     return a, b
 
 
-def _walk_path(
-    rt: float,
-    slots: tuple[int, int],
-    pattern: RfPattern,
-    per_trip_db: float,
-    straight_db: float,
-    cross_db: float,
-    ghost: bool = False,
-) -> PhotonTimeline:
-    """Arrival-by-arrival walk of one photon until an ON window lets it out.
+def _walk_path(rt: float, slots: tuple[int, int], pattern: RfPattern, per_trip_db: float,
+               switch: SwitchSpec) -> list[PhotonTimeline]:
+    """Every exit of one path, each as the walk of the photon that takes it.
 
     ``slots`` = (a, b): the round trip spans ``a`` slots and the ON window
-    ``b``, so the frame of an N-trip pattern spans N*b.  Exits are decided
-    in exact half-slots: arrival k leaves when (start + 2ka) mod 2Nb < 2b.
-    The photon enters at t=0 (half-slot 0), a ghost half a round trip before
-    the ON window closes (half-slot 2b - a); arrival k comes k*rt later.
+    ``b``, so an N-trip frame spans N*b.  A photon entering at half-slot s
+    leaves on the first arrival k with (s + 2ka) mod 2Nb < 2b.  The exits
+    come from two starts: the ON edge (t = 0, RETRIEVE) and the window's last
+    half-slot 2b - 1 (t = ON - rt/2, GHOST_EXIT), kept if it leaves after
+    another number of trips, which it never does when b = 1.
     """
     a, b = slots
-    t_inject, start = (pattern.on_duration - rt / 2.0, 2 * b - a) if ghost else (0.0, 0)
-    exit_kind = EventKind.GHOST_EXIT if ghost else EventKind.RETRIEVE
-    frame = 2 * pattern.n_trips * b
-    events = [TimelineEvent(t_inject, EventKind.INJECT, cross_db)]
-    loss = cross_db
-    for k in range(1, MAX_TRIPS + 1):
-        t = t_inject + k * rt
-        if (start + 2 * k * a) % frame < 2 * b:
-            loss += per_trip_db + cross_db
-            events.append(TimelineEvent(t, exit_kind, loss))
-            return PhotonTimeline(
-                tuple(events), total_buffer_time=k * rt, round_trips=k
-            )
-        loss += per_trip_db + straight_db
-        events.append(TimelineEvent(t, EventKind.RECIRCULATE, loss))
-    raise ValueError(f"the photon needs more than {MAX_TRIPS} round trips")
+    frame, window = 2 * pattern.n_trips * b, 2 * b
+    straight_db, cross_db = switch.loss_straight_db, switch.loss_cross_db
+    exits: list[PhotonTimeline] = []
+    for start, t_inject, kind in ((0, 0.0, _RETRIEVE),
+                                  (window - 1, pattern.on_duration - rt / 2.0, _GHOST_EXIT)):
+        # that k, solved: on (1, b) the first return if it lands in the window,
+        # else the one that wraps the frame; on (a, 1) once k*a is a multiple of N
+        trips = ((1 if start + 2 < window else (frame - start + 1) // 2) if a == 1
+                 else pattern.n_trips // math.gcd(a, pattern.n_trips))
+        if trips > MAX_TRIPS:
+            raise ValueError(f"the photon needs more than {MAX_TRIPS} round trips")
+        if exits and exits[0].round_trips == trips:
+            break
+        loss = cross_db
+        events = [TimelineEvent(t_inject, _INJECT, loss)]
+        for k in range(1, trips):
+            loss += per_trip_db + straight_db
+            events.append(TimelineEvent(t_inject + k * rt, _RECIRCULATE, loss))
+        loss += per_trip_db + cross_db
+        events.append(TimelineEvent(t_inject + trips * rt, kind, loss))
+        exits.append(PhotonTimeline(tuple(events), trips * rt, trips))
+    return exits
 
 
 def divider_schedule(
@@ -439,32 +447,28 @@ def divider_schedule(
     pattern: RfPattern,
     switch: SwitchSpec = SwitchSpec(),
 ) -> list[tuple[FiberLoop, PhotonTimeline]]:
-    """Timelines for every selectable divider path under one RF pattern.
+    """Every exit of the multiplier/divider under one RF pattern, with its path.
 
-    A path whose round trip equals the ON duration behaves like the plain
-    loop (integer multiple of the unit delay).  A path whose round trip is an
-    integer fraction of the ON duration exits on its first return, still
-    inside the ON window (the divider), and additionally traps photons
-    injected near the end of the ON window until the next ON transition,
-    producing a ghost exit with extra straight-pass losses.
+    First the 0-trip straight pass of a photon that arrives while the switch
+    is OFF (1 -> 3, one straight-pass loss), then each path's exits
+    (``_walk_path``).  A path as long as the ON window holds the photon N
+    trips, like the plain loop.  A path r times shorter lets it out on its
+    first return (the divider) and traps a photon injected at the window's
+    end until the next one: a ghost exit after (N-1)*r + 1 trips.
     """
     if topo.variant is not TopologyVariant.MULTIPLIER_DIVIDER:
         raise ValueError("divider_schedule needs a MULTIPLIER_DIVIDER topology")
     _check_drive(pattern, switch)
-    out: list[tuple[FiberLoop, PhotonTimeline]] = []
+    # The straight pass enters no path.  It is listed under the last one so
+    # that the suite's bypass row keeps its scenario, and with it the run id.
+    straight = (TimelineEvent(0.0, _INJECT, 0.0),
+                TimelineEvent(0.0, _RETRIEVE, switch.loss_straight_db))
+    out = [(topo.divider_paths[-1], PhotonTimeline(straight, 0.0, 0))]
     for path in topo.divider_paths:
         rt = round_trip_time(path)
-        slots = _slots(rt, pattern)
         per_trip = path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db
-        walk = (rt, slots, pattern, per_trip, switch.loss_straight_db, switch.loss_cross_db)
-        main = _walk_path(*walk)
-        out.append((path, main))
-        if slots[1] >= 2:
-            # photons entering in the last fraction of the ON window return
-            # after it closed and stay trapped until the next ON transition
-            ghost = _walk_path(*walk, ghost=True)
-            if ghost.round_trips != main.round_trips:
-                out.append((path, ghost))
+        exits = _walk_path(rt, _slots(rt, pattern), pattern, per_trip, switch)
+        out.extend((path, timeline) for timeline in exits)
     return out
 
 
@@ -490,15 +494,17 @@ def channel_for_timeline(
     if pmd > 0 and km > 0:
         variance = pmd * pmd * km
         parts.append(qstate.phase_damping_channel(1.0 - math.exp(-variance)))
-    # one cross pass on injection, one on retrieval: the same channel objects
-    parts.extend(_cross_channels(noise) * 2 if timeline.round_trips >= 1 else ())
+    if timeline.round_trips >= 1 and (cross := _cross_channels(noise)) is not None:
+        parts.append(cross)  # both cross passes, one cached channel per NoiseConfig
     return qstate.compose_channels(*parts) if parts else qstate.identity_channel()
 
 
-@functools.lru_cache(maxsize=16)  # NoiseConfig is frozen, so its channels are too
-def _cross_channels(noise: NoiseConfig) -> tuple[QubitChannel, ...]:
-    return tuple(make(p) for make, p in (
+@functools.lru_cache(maxsize=16)  # NoiseConfig is frozen, so its channel is too
+def _cross_channels(noise: NoiseConfig) -> QubitChannel | None:
+    """Injection and retrieval cross passes as one channel; None if no knob is set."""
+    one_pass = [make(p) for make, p in (
         (qstate.bit_flip_channel, noise.cross_bit_flip),
         (qstate.phase_flip_channel, noise.cross_phase_flip),
         (qstate.amplitude_damping_channel, noise.cross_amplitude_damping),
-    ) if p > 0)
+    ) if p > 0]
+    return qstate.compose_channels(*one_pass, *one_pass) if one_pass else None

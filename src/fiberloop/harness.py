@@ -224,10 +224,17 @@ def evaluate(
             settings = cnt.standard_16_settings()
             draw = cnt.expected_dataset if scenario.exact_counts else cnt.simulate_dataset
             records = draw(state, cfg, scenario.integration_time * counts_scale, settings)
-            # no photon left to count, or none counted: name the loss, not the fit
             if survival <= 1e-300 or sum(r.net for r in records) <= 0:
-                raise ScenarioError(f"scenario {scenario.name!r}: insertion loss "
-                                    f"{timeline.final_loss_db:.6g} dB leaves no photon to count")
+                # the loss is the cause only if it alone takes the expected pairs below one
+                seconds = scenario.integration_time * counts_scale
+                pairs = scenario.pair_rate * seconds
+                loss = f"insertion loss {timeline.final_loss_db:.6g} dB"
+                cause = (f"{loss} leaves no photon" if pairs >= 1 > pairs * survival
+                         else "no net count is left")
+                raise ScenarioError(
+                    f"scenario {scenario.name!r}: {cause} over the 16 settings: pair_rate "
+                    f"{scenario.pair_rate:g} /s x integration_time x counts_scale {seconds:g} s "
+                    f"x survival {survival:.3g} at {loss}")
             rho = tomo.reconstruct_state(records, settings)
             chi = tomo.reconstruct_chi(rho)
             fit = Fit(records, settings, rho, chi, tomo.report_metrics(rho, chi))
@@ -421,18 +428,12 @@ def run_table1_suite(
 
 # Divider geometry: a 4.0 km ultra-low-loss unit delay and a 1.0 km quarter
 # delay selectable by two 1x2 switches, driven at the N=2 pattern of the
-# unit loop.  The suite reports the bypass (0.0 s), the divided delay, the
-# doubled unit delay, and the trapped ghost recirculation.
+# unit loop.  The suite runs one row per exit of the schedule, in its order:
+# the bypass (0.0 s), the doubled unit delay, the divided delay, and the
+# trapped ghost recirculation.
 DIVIDER_UNIT_LOOP = buf.FiberLoop(4000.0, attenuation_db_per_km=0.15)
 DIVIDER_SHORT_LOOP = buf.FiberLoop(1000.0, attenuation_db_per_km=0.15)
-
-
-def _bypass_timeline(switch: buf.SwitchSpec) -> buf.PhotonTimeline:
-    events = (
-        buf.TimelineEvent(0.0, buf.EventKind.INJECT, 0.0),
-        buf.TimelineEvent(0.0, buf.EventKind.RETRIEVE, switch.loss_straight_db),
-    )
-    return buf.PhotonTimeline(events, total_buffer_time=0.0, round_trips=0)
+DIVIDER_ROWS = ("bypass", "unit-x2", "divided-by-4", "ghost")
 
 
 def run_divider_suite(
@@ -444,35 +445,18 @@ def run_divider_suite(
 ) -> list[RunResult]:
     """Bypass, divided, and doubled delays plus the ghost recirculation."""
     switch = buf.SwitchSpec()
-    topo = buf.BufferTopology(
-        buf.TopologyVariant.MULTIPLIER_DIVIDER,
-        divider_paths=(DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP),
-    )
-    pattern = buf.rf_pattern_for(2, DIVIDER_UNIT_LOOP)
-    entries: list[tuple[str, buf.FiberLoop, buf.PhotonTimeline]] = [
-        ("bypass", DIVIDER_SHORT_LOOP, _bypass_timeline(switch))
-    ]
-    for path, timeline in buf.divider_schedule(topo, pattern, switch):
-        label = "unit-x2" if path is DIVIDER_UNIT_LOOP else "divided-by-4"
-        entries.append(("ghost" if timeline.ghosted else label, path, timeline))
+    topo = buf.BufferTopology(buf.TopologyVariant.MULTIPLIER_DIVIDER,
+                              divider_paths=(DIVIDER_UNIT_LOOP, DIVIDER_SHORT_LOOP))
+    schedule = buf.divider_schedule(topo, buf.rf_pattern_for(2, DIVIDER_UNIT_LOOP), switch)
     scenarios = [
-        Scenario(
-            name=f"divider-{label}",
-            loop=path,
-            n_trips=max(timeline.round_trips, 1),
-            topology=topo,
-            switch=switch,
-            noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
-            seed=seed * 1000 + i,
-            exact_counts=exact_counts,
-        )
-        for i, (label, path, timeline) in enumerate(entries)
+        Scenario(name=f"divider-{label}", loop=path, n_trips=max(timeline.round_trips, 1),
+                 topology=topo, switch=switch, noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
+                 seed=seed * 1000 + i, exact_counts=exact_counts)
+        for i, (label, (path, timeline)) in enumerate(zip(DIVIDER_ROWS, schedule, strict=True))
     ]
     rid = _run_id(scenarios, counts_scale, "divider")
-    results = [
-        evaluate(timeline, s, counts_scale, out_dir, rid)
-        for s, (_, _, timeline) in zip(scenarios, entries)
-    ]
+    results = [evaluate(timeline, s, counts_scale, out_dir, rid)
+               for s, (_, timeline) in zip(scenarios, schedule)]
     if out_dir is not None:
         _json_dump(Path(out_dir) / rid / "divider_summary.json", [r.to_json() for r in results])
     return results

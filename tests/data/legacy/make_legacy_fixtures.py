@@ -10,8 +10,9 @@ On a schema-3 tree it stops at the first field schema 3 removed.
 
 ``expected.json`` maps each file to the state fidelity F of its exact-count
 run: ``run_scenario`` for a plain loop; for the divider file, ``evaluate``
-on the first timeline of ``divider_schedule`` (``run_scenario`` rejects the
-divider topology).
+on the first path exit of ``divider_schedule``, the unit path's N-trip
+exit (``run_scenario`` rejects the divider topology).  At schema 2 that was
+the schedule's first entry; a later schedule lists the straight pass first.
 """
 
 from __future__ import annotations

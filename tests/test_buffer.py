@@ -351,7 +351,9 @@ class TestDividerSchedule:
     def test_short_path_divides_by_eight(self):
         unit, short, out = self._run()
         t_long = [t for p, t in out if p is unit][0].total_buffer_time
-        t_short = [t for p, t in out if p is short and t.retrieved][0].total_buffer_time
+        # the 0-trip straight pass is listed under the short path too
+        t_short = [t for p, t in out if p is short and t.retrieved and t.round_trips][0]
+        t_short = t_short.total_buffer_time
         assert t_short == pytest.approx(4.9e-6, rel=0.01)
         assert 7.9 <= t_long / t_short <= 8.1
 
@@ -400,6 +402,35 @@ class TestDividerSchedule:
         if r > 1 and n > 1:
             expected[(False, True)] = (n - 1) * r + 1
         assert trips == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1000.0, 6000.0), st.integers(1, 12), st.booleans(), st.integers(1, 40))
+    @example(4000.0, 4, True, 2)  # the divider suite's geometry
+    def test_every_exit_is_found(self, unit_m, r, shorter, n):
+        """Each path lists the trip counts of a brute-force walk from every
+        half-slot of the ON window, each once, with at most one ghost exit.
+        The longest stay, (N-1)*r + 1 = 469 trips, is under the trip cap."""
+        unit = FiberLoop(unit_m, attenuation_db_per_km=0.15)
+        path = FiberLoop(unit_m / r if shorter else unit_m * r, attenuation_db_per_km=0.15)
+        topo = BufferTopology(TopologyVariant.MULTIPLIER_DIVIDER, divider_paths=(unit, path))
+        switch = SwitchSpec(rise_fall_time=1e-15, max_rep_rate_hz=1e15)
+        out = divider_schedule(topo, rf_pattern_for(n, unit), switch)
+
+        def brute_force(a, b):  # a photon entering at half-slot s, round trip a slots
+            trips = set()
+            for s in range(2 * b):
+                k = 1
+                while (s + 2 * k * a) % (2 * n * b) >= 2 * b:
+                    k += 1
+                trips.add(k)
+            return trips
+
+        (straight_path, straight), *exits = out
+        assert straight_path is path and straight.round_trips == 0 and straight.retrieved
+        for p, slots in ((unit, (1, 1)), (path, (1, r) if shorter else (r, 1))):
+            listed = [t.round_trips for q, t in exits if q is p]
+            assert sorted(listed) == sorted(brute_force(*slots))
+            assert sum(t.ghosted for q, t in exits if q is p) <= 1
 
     @pytest.mark.parametrize("n", [2, 50, 120, 200])
     def test_path_drifting_out_of_the_on_window_rejected(self, n):
@@ -634,6 +665,10 @@ class TestValidation:
 
 class TestCrossChannelReuse:
     def test_both_cross_passes_share_channel_objects(self, monkeypatch):
+        noise = NoiseConfig(pmd_dephasing_per_km=0.1, cross_bit_flip=0.01,
+                            cross_phase_flip=0.02, cross_amplitude_damping=0.03)
+        cross = buffer._cross_channels(noise)  # both passes, composed once and cached
+        assert cross is not None and buffer._cross_channels(NoiseConfig()) is None
         seen = []
         compose = qstate.compose_channels
         monkeypatch.setattr(
@@ -643,12 +678,10 @@ class TestCrossChannelReuse:
             TimelineEvent(0.0, EventKind.INJECT, 0.0),
             TimelineEvent(5e-6, EventKind.RETRIEVE, 3.0),
         )
-        noise = NoiseConfig(cross_bit_flip=0.01, cross_phase_flip=0.02,
-                            cross_amplitude_damping=0.03)
-        channel_for_timeline(PhotonTimeline(events, 5e-6, 1), FiberLoop(1000.0), noise)
-        (parts,) = seen
-        assert len(parts) == 6  # bit flip, phase flip, damping, twice
-        assert all(a is b for a, b in zip(parts[:3], parts[3:]))
+        for _ in range(2):
+            channel_for_timeline(PhotonTimeline(events, 5e-6, 1), FiberLoop(1000.0), noise)
+        assert len(seen) == 2  # one compose_channels call per op: PMD, then both passes
+        assert all(len(parts) == 2 and parts[1] is cross for parts in seen)
 
 
 def reference_idler_output(timeline: PhotonTimeline, loop: FiberLoop, noise: NoiseConfig):

@@ -674,7 +674,8 @@ class TestSchemaVersions:
         s = load_scenario(LEGACY / name)
         if s.topology.variant is buf.TopologyVariant.MULTIPLIER_DIVIDER:
             pattern = buf.rf_pattern_for(s.n_trips, s.loop)
-            ((_, timeline), *_) = buf.divider_schedule(s.topology, pattern, s.switch)
+            # the first path exit; entry 0 is the straight pass
+            (_, timeline) = buf.divider_schedule(s.topology, pattern, s.switch)[1]
             result = evaluate(timeline, s)
         else:
             result = run_scenario(s)
@@ -801,6 +802,22 @@ def test_table1_metrics_are_the_standing_invariant(tmp_path):
     assert all((row / name).is_file() for name in summary["artifacts"].values())
 
 
+def test_divider_suite_reproduces_its_pin(tmp_path):
+    """run_divider_suite(seed=42) must write exactly the committed timeline.json,
+    run_result.json and metrics.json payloads of its four rows, so a change to
+    the divider schedule or to a row's scenario shows here."""
+    reference = json.loads((Path(__file__).parent / "data" / "divider_seed42.json").read_text())
+    results = run_divider_suite(seed=42, out_dir=tmp_path)
+    written = {}
+    for r in results:
+        row = Path(r.artifacts["timeline"]).parent
+        written[r.scenario_name] = {
+            p.stem: json.loads(p.read_text())
+            for p in row.glob("*.json") if p.stem in ("timeline", "run_result", "metrics")
+        }
+    assert written == reference
+
+
 def test_artifacts_do_not_depend_on_the_output_path(tmp_path, monkeypatch):
     """A suite written under a short relative --out and under a long
     absolute one gives the same bytes in every file, run_result.json too."""
@@ -846,6 +863,27 @@ class TestLostPhoton:
         with pytest.raises(ScenarioError,
                            match=rf"'lost': insertion loss {loss:.6g} dB leaves no photon"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("overrides, factors", [
+        pytest.param(dict(integration_time=1e-12),
+                     "pair_rate 50000 /s x integration_time x counts_scale 1e-12 s",
+                     id="integration_time"),
+        pytest.param(dict(pair_rate=0.0, accidental_rate=0.0),
+                     "pair_rate 0 /s x integration_time x counts_scale 2 s", id="pair_rate"),
+    ])
+    def test_no_count_names_every_factor(self, overrides, factors):
+        """A source that gives no pair to count is not blamed on the loss,
+        which leaves 0.449 of the photons."""
+        row, overrides = table1_scenarios()[0], dict(overrides)
+        accidental_rate = overrides.pop("accidental_rate", row.noise.accidental_rate)
+        scenario = replace(row, noise=replace(row.noise, accidental_rate=accidental_rate),
+                           **overrides)
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(scenario)
+        assert str(err.value) == (
+            "scenario 'N1-L5.4km': no net count is left over the 16 settings: "
+            f"{factors} x survival 0.449 at insertion loss 3.48 dB"
+        )
 
     def test_committed_lost_photon_file_exits_2(self, tmp_path, capsys):
         path = Path(__file__).parent / "data" / "lost_photon.json"
