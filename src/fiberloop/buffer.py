@@ -211,6 +211,7 @@ class EventKind(enum.Enum):
 # EnumType's __getattr__ hook makes each EventKind.<member> lookup cost about
 # 0.1 us on Python 3.11, so the per-timeline code reads these names instead.
 _INJECT, _RECIRCULATE, _LEAK, _RETRIEVE, _GHOST_EXIT = EventKind
+_EXITS = (_RETRIEVE, _LEAK, _GHOST_EXIT)
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,11 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class PhotonTimeline:
-    """Ordered photon events with accumulated loss.
-
-    ``round_trips`` counts loop traversals (0 for the divider's straight
-    pass, which is also the only case where RETRIEVE may share the INJECT
-    timestamp).  A timeline ends in exactly one of RETRIEVE, LEAK, or
-    GHOST_EXIT.
+    """One photon's events with accumulated loss, in one shape: INJECT, then
+    ``round_trips`` - 1 RECIRCULATE (one per straight pass), then exactly one
+    exit, a RETRIEVE, LEAK or GHOST_EXIT, which is the last event.  Times
+    strictly increase, except that the divider's 0-trip straight pass is an
+    INJECT and a RETRIEVE at one instant.
     """
 
     events: tuple[TimelineEvent, ...]
@@ -237,45 +237,49 @@ class PhotonTimeline:
     def __post_init__(self) -> None:
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
-        kinds = [e.kind for e in events]  # the one pass; the counts below run in C
-        if kinds.count(_INJECT) != 1:
-            raise TimelineContractError("timeline needs exactly one INJECT")
-        if not all(b.time > a.time for a, b in zip(events, events[1:])) and not (
-            self.round_trips == 0  # the pass-through, in and out at one instant
-            and kinds == [_INJECT, _RETRIEVE]
-            and events[0].time == events[1].time
-        ):
-            raise TimelineContractError("event times must be strictly increasing")
-        n_retrieve = kinds.count(_RETRIEVE)
-        if n_retrieve > 1:
-            raise TimelineContractError("at most one RETRIEVE allowed")
-        has_terminal_loss = _LEAK in kinds or _GHOST_EXIT in kinds
-        if n_retrieve == 0 and not has_terminal_loss:
+        kinds = [e.kind for e in events]
+        trips = self.round_trips
+        if (trips < 0 or len(kinds) != (trips or 1) + 1 or kinds[0] is not _INJECT
+                or kinds.count(_RECIRCULATE) != len(kinds) - 2
+                or kinds[-1] not in (_EXITS if trips else (_RETRIEVE,))):
             raise TimelineContractError(
-                "RETRIEVE may be absent only when the photon leaked or ghost-exited"
-            )
-        if n_retrieve == 1 and has_terminal_loss:
-            raise TimelineContractError("RETRIEVE cannot follow a LEAK/GHOST_EXIT")
-        if self.round_trips < 0:
-            raise TimelineContractError("round trips must be nonnegative")
+                "a timeline is INJECT, round_trips - 1 RECIRCULATE, then one RETRIEVE, LEAK or "
+                f"GHOST_EXIT (0 trips: RETRIEVE); got {[k.value for k in kinds]}, trips {trips}")
+        if not all(b.time > a.time or trips == 0 and b.time == a.time  # 0 trips: one instant
+                   for a, b in zip(events, events[1:])):
+            raise TimelineContractError("event times must be strictly increasing")
         if self.total_buffer_time < 0:
             raise TimelineContractError("buffer time must be nonnegative")
 
     @property
     def retrieved(self) -> bool:
-        return any(e.kind is _RETRIEVE for e in self.events)
+        return self.events[-1].kind is _RETRIEVE
 
     @property
     def leaked(self) -> bool:
-        return any(e.kind is _LEAK for e in self.events)
+        return self.events[-1].kind is _LEAK
 
     @property
     def ghosted(self) -> bool:
-        return any(e.kind is _GHOST_EXIT for e in self.events)
+        return self.events[-1].kind is _GHOST_EXIT
 
     @property
     def final_loss_db(self) -> float:
         return self.events[-1].accumulated_loss_db
+
+
+def _timeline(t_inject: float, rt: float, trips: int, inject_db: float, step_db: float,
+              exit_db: float, kind: EventKind) -> PhotonTimeline:
+    """The one builder of a timeline: INJECT at ``t_inject`` after ``inject_db``,
+    a RECIRCULATE every round trip ``rt`` that adds ``step_db``, and the exit
+    ``kind`` after ``trips`` round trips, which adds ``exit_db``."""
+    loss = inject_db
+    events = [TimelineEvent(t_inject, _INJECT, loss)]
+    for k in range(1, trips):
+        loss += step_db
+        events.append(TimelineEvent(t_inject + k * rt, _RECIRCULATE, loss))
+    events.append(TimelineEvent(t_inject + trips * rt, kind, loss + exit_db))
+    return PhotonTimeline(tuple(events), trips * rt, trips)
 
 
 @dataclass(frozen=True)
@@ -367,7 +371,7 @@ def simulate_timeline(
     return and no RETRIEVE is emitted.
     """
     if topo.variant is TopologyVariant.MULTIPLIER_DIVIDER:
-        raise ValueError("use divider_schedule for the multiplier/divider topology")
+        raise ValueError("topology.variant MULTIPLIER_DIVIDER runs only in the divider suite")
     if topo.variant is TopologyVariant.LOOP_PORTS_2_3 and not switch.v_pi_calibrated:
         raise SwitchCapabilityError("the ports 2-3 loop requires a recalibrated pi-voltage")
     rt = round_trip_time(loop)
@@ -379,10 +383,8 @@ def simulate_timeline(
 
     fiber_db = loop.attenuation_db_per_km * loop.length_km
     if pattern.repetition_rate_hz > topo.leak_threshold_hz * (1.0 + LEAK_RATE_GUARD):
-        inject = TimelineEvent(0.0, _INJECT, switch.loss_cross_db)
-        loss = switch.loss_cross_db + (fiber_db + switch.loss_straight_db)
-        leak = TimelineEvent(rt, _LEAK, loss)
-        return PhotonTimeline((inject, leak), total_buffer_time=rt, round_trips=1)
+        return _timeline(0.0, rt, 1, switch.loss_cross_db, 0.0,
+                         fiber_db + switch.loss_straight_db, _LEAK)
     (timeline,) = _walk_path(rt, (1, 1), pattern, fiber_db, switch)
     return timeline
 
@@ -419,7 +421,7 @@ def _walk_path(rt: float, slots: tuple[int, int], pattern: RfPattern, per_trip_d
     """
     a, b = slots
     frame, window = 2 * pattern.n_trips * b, 2 * b
-    straight_db, cross_db = switch.loss_straight_db, switch.loss_cross_db
+    step_db, exit_db = per_trip_db + switch.loss_straight_db, per_trip_db + switch.loss_cross_db
     exits: list[PhotonTimeline] = []
     for start, t_inject, kind in ((0, 0.0, _RETRIEVE),
                                   (window - 1, pattern.on_duration - rt / 2.0, _GHOST_EXIT)):
@@ -431,14 +433,7 @@ def _walk_path(rt: float, slots: tuple[int, int], pattern: RfPattern, per_trip_d
             raise ValueError(f"the photon needs more than {MAX_TRIPS} round trips")
         if exits and exits[0].round_trips == trips:
             break
-        loss = cross_db
-        events = [TimelineEvent(t_inject, _INJECT, loss)]
-        for k in range(1, trips):
-            loss += per_trip_db + straight_db
-            events.append(TimelineEvent(t_inject + k * rt, _RECIRCULATE, loss))
-        loss += per_trip_db + cross_db
-        events.append(TimelineEvent(t_inject + trips * rt, kind, loss))
-        exits.append(PhotonTimeline(tuple(events), trips * rt, trips))
+        exits.append(_timeline(t_inject, rt, trips, switch.loss_cross_db, step_db, exit_db, kind))
     return exits
 
 
@@ -461,9 +456,8 @@ def divider_schedule(
     _check_drive(pattern, switch)
     # The straight pass enters no path.  It is listed under the last one so
     # that the suite's bypass row keeps its scenario, and with it the run id.
-    straight = (TimelineEvent(0.0, _INJECT, 0.0),
-                TimelineEvent(0.0, _RETRIEVE, switch.loss_straight_db))
-    out = [(topo.divider_paths[-1], PhotonTimeline(straight, 0.0, 0))]
+    straight = _timeline(0.0, 0.0, 0, 0.0, 0.0, switch.loss_straight_db, _RETRIEVE)
+    out = [(topo.divider_paths[-1], straight)]
     for path in topo.divider_paths:
         rt = round_trip_time(path)
         per_trip = path.attenuation_db_per_km * path.length_km + 2.0 * topo.selector_loss_db

@@ -225,16 +225,20 @@ def evaluate(
             draw = cnt.expected_dataset if scenario.exact_counts else cnt.simulate_dataset
             records = draw(state, cfg, scenario.integration_time * counts_scale, settings)
             if survival <= 1e-300 or sum(r.net for r in records) <= 0:
-                # the loss is the cause only if it alone takes the expected pairs below one
+                # a loss is the cause only if the losses alone take the expected pairs below one
                 seconds = scenario.integration_time * counts_scale
                 pairs = scenario.pair_rate * seconds
+                signal = buf.loss_to_survival(scenario.signal_arm_loss_db)
                 loss = f"insertion loss {timeline.final_loss_db:.6g} dB"
-                cause = (f"{loss} leaves no photon" if pairs >= 1 > pairs * survival
-                         else "no net count is left")
+                arm = f"signal_arm_loss_db {scenario.signal_arm_loss_db:.6g} dB"
+                cause = next((f"{name} leaves no photon" for name, kept in
+                              ((loss, survival), (arm, survival * signal))
+                              if pairs >= 1 > pairs * kept), "no net count is left")
                 raise ScenarioError(
                     f"scenario {scenario.name!r}: {cause} over the 16 settings: pair_rate "
                     f"{scenario.pair_rate:g} /s x integration_time x counts_scale {seconds:g} s "
-                    f"x survival {survival:.3g} at {loss}")
+                    f"x survival {survival:.3g} at {loss} x signal arm survival {signal:.3g} "
+                    f"at {arm}")
             rho = tomo.reconstruct_state(records, settings)
             chi = tomo.reconstruct_chi(rho)
             fit = Fit(records, settings, rho, chi, tomo.report_metrics(rho, chi))
@@ -263,11 +267,6 @@ def run_scenario(
     run_id: str | None = None,
 ) -> RunResult:
     """Run one plain-loop scenario end to end; persist artifacts if asked."""
-    if scenario.topology.variant is buf.TopologyVariant.MULTIPLIER_DIVIDER:
-        raise ScenarioError(
-            f"scenario {scenario.name!r}: topology.variant MULTIPLIER_DIVIDER "
-            "runs only in the divider suite (fiberloop divider)"
-        )
     with _scenario_context(scenario.name):
         pattern = buf.rf_pattern_for(scenario.n_trips, scenario.loop)
         timeline = buf.simulate_timeline(
@@ -366,7 +365,6 @@ LOSS_TOLERANCE_DB = 0.01
 
 def table1_scenarios(
     seed: int = 0,
-    profile: NoiseProfile = PAPER_2023,
     pair_rate: float = 50e3,
     exact_counts: bool = False,
 ) -> list[Scenario]:
@@ -380,7 +378,7 @@ def table1_scenarios(
                 n_trips=row.n_trips,
                 topology=buf.BufferTopology(row.variant),
                 switch=buf.SwitchSpec(v_pi_calibrated=(row.variant is _V23)),
-                noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
+                noise=PAPER_2023.to_noise(SUITE_ACCIDENTAL_RATE),
                 pair_rate=pair_rate,
                 seed=seed * 1000 + i,
                 exact_counts=exact_counts,
@@ -440,7 +438,6 @@ def run_divider_suite(
     seed: int = 0,
     counts_scale: float = 1.0,
     out_dir: str | Path | None = None,
-    profile: NoiseProfile = PAPER_2023,
     exact_counts: bool = False,
 ) -> list[RunResult]:
     """Bypass, divided, and doubled delays plus the ghost recirculation."""
@@ -450,7 +447,7 @@ def run_divider_suite(
     schedule = buf.divider_schedule(topo, buf.rf_pattern_for(2, DIVIDER_UNIT_LOOP), switch)
     scenarios = [
         Scenario(name=f"divider-{label}", loop=path, n_trips=max(timeline.round_trips, 1),
-                 topology=topo, switch=switch, noise=profile.to_noise(SUITE_ACCIDENTAL_RATE),
+                 topology=topo, switch=switch, noise=PAPER_2023.to_noise(SUITE_ACCIDENTAL_RATE),
                  seed=seed * 1000 + i, exact_counts=exact_counts)
         for i, (label, (path, timeline)) in enumerate(zip(DIVIDER_ROWS, schedule, strict=True))
     ]

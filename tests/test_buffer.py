@@ -305,21 +305,38 @@ I, R, L, G, C = (EventKind.INJECT, EventKind.RETRIEVE, EventKind.LEAK,
 
 
 class TestTimelineMessages:
-    """One pass over the event kinds keeps each invariant and its message."""
+    """One shape rule refuses every malformed event sequence, with one message."""
 
-    @pytest.mark.parametrize("pairs, trips, message", [
-        pytest.param(((0, I), (1, I), (2, R)), 1, "exactly one INJECT", id="two-injects"),
-        pytest.param(((0, C), (1, R)), 1, "exactly one INJECT", id="no-inject"),
-        pytest.param(((0, I), (0, L)), 0, "strictly increasing", id="instant-leak"),
-        pytest.param(((0, R), (0, I)), 0, "strictly increasing", id="retrieve-first"),
-        pytest.param(((0, I), (0, C), (0, R)), 0, "strictly increasing", id="three-at-once"),
-        pytest.param(((0, I), (1, R), (2, R)), 2, "at most one RETRIEVE", id="two-retrieves"),
-        pytest.param(((0, I), (1, C)), 1, "RETRIEVE may be absent only", id="silent-loss"),
-        pytest.param(((0, I), (1, G), (2, R)), 2, "RETRIEVE cannot follow", id="ghost-retrieve"),
+    @pytest.mark.parametrize("pairs, trips", [
+        pytest.param(((0, I), (1, I), (2, R)), 1, id="two-injects"),
+        pytest.param(((0, C), (1, R)), 1, id="no-inject"),
+        pytest.param(((0, I), (0, L)), 0, id="instant-leak"),
+        pytest.param(((0, R), (0, I)), 0, id="retrieve-first"),
+        pytest.param(((0, I), (0, C), (0, R)), 0, id="three-at-once"),
+        pytest.param(((0, I), (1, R), (2, R)), 2, id="two-retrieves"),
+        pytest.param(((0, I), (1, C)), 1, id="silent-loss"),
+        pytest.param(((0, I), (1, G), (2, R)), 2, id="ghost-retrieve"),
     ])
-    def test_rejected(self, pairs, trips, message):
-        with pytest.raises(TimelineContractError, match=message):
+    def test_rejected(self, pairs, trips):
+        with pytest.raises(TimelineContractError, match=r"^a timeline is INJECT, round_trips - 1 "
+                           r"RECIRCULATE, then one RETRIEVE, LEAK or GHOST_EXIT"):
             PhotonTimeline(_events(*pairs), 1.0, trips)
+
+    @pytest.mark.parametrize("events, trips", [
+        pytest.param((TimelineEvent(0.0, I, 1.0), TimelineEvent(1.0, R, 3.0),
+                      TimelineEvent(2.0, C, 9.0)), 1, id="recirculate-after-retrieve"),
+        pytest.param((TimelineEvent(0.0, C, 1.0), TimelineEvent(1.0, I, 2.0),
+                      TimelineEvent(2.0, R, 3.0)), 2, id="event-before-inject"),
+        pytest.param((TimelineEvent(0.0, I, 1.0), TimelineEvent(1.0, R, 3.0)), 7,
+                     id="seven-trips-in-two-events"),
+        pytest.param((), 0, id="no-event"),
+    ])
+    def test_shape_is_checked(self, events, trips):
+        """An exit that is not the last event makes final_loss_db read a later
+        event, and a trip count the events do not show gives the channel that
+        many trips of PMD; each is refused, as is a timeline with no event."""
+        with pytest.raises(TimelineContractError):
+            PhotonTimeline(events, 1.0, trips)
 
     @pytest.mark.parametrize("pairs, trips", [
         pytest.param(((0, I), (0, R)), 0, id="pass-through"),
@@ -474,6 +491,7 @@ class TestChannelForTimeline:
     def _timeline(self, loss_db=0.0, trips=1, length_m=1000.0):
         events = (
             TimelineEvent(0.0, EventKind.INJECT, 0.0),
+            *(TimelineEvent(k * 5e-6, EventKind.RECIRCULATE, 0.0) for k in range(1, trips)),
             TimelineEvent(trips * 5e-6, EventKind.RETRIEVE, loss_db),
         )
         return PhotonTimeline(events, trips * 5e-6, trips)
